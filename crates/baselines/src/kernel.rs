@@ -88,6 +88,59 @@ impl StaticRms for EpsKernel {
     }
 }
 
+/// Farthest-point traversal of a direction pool, starting from direction
+/// 0: each step yields the unpicked direction whose distance to its
+/// nearest picked direction is largest (the last such index on ties).
+/// The nearest-picked distances are kept in a running array updated once
+/// per pick, so a step costs one pass over the pool rather than a
+/// distance to every picked direction for every candidate.
+struct FarthestFirst<'a> {
+    pool: &'a [Utility],
+    /// Distance from each direction to its nearest picked direction.
+    nearest: Vec<f64>,
+    picked: Vec<bool>,
+}
+
+impl<'a> FarthestFirst<'a> {
+    fn new(pool: &'a [Utility]) -> Self {
+        let mut picked = vec![false; pool.len()];
+        let mut nearest = vec![f64::INFINITY; pool.len()];
+        if let Some(first) = pool.first() {
+            picked[0] = true;
+            for (d, u) in nearest.iter_mut().zip(pool) {
+                *d = u.distance(first);
+            }
+        }
+        Self {
+            pool,
+            nearest,
+            picked,
+        }
+    }
+}
+
+impl Iterator for FarthestFirst<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        for (i, &d) in self.nearest.iter().enumerate() {
+            if !self.picked[i] && best.is_none_or(|b| d >= self.nearest[b]) {
+                best = Some(i);
+            }
+        }
+        let next = best?;
+        self.picked[next] = true;
+        let dir = &self.pool[next];
+        for (i, u) in self.pool.iter().enumerate() {
+            if !self.picked[i] {
+                self.nearest[i] = self.nearest[i].min(u.distance(dir));
+            }
+        }
+        Some(next)
+    }
+}
+
 /// SPHERE (Xie et al., SIGMOD 2018): "a combination of ε-kernel and
 /// GREEDY" for 1-RMS with a restriction-free bound.
 ///
@@ -147,25 +200,11 @@ impl StaticRms for Sphere {
             }
         }
 
-        // 2. Farthest-point-sampled directions fill the budget.
-        let mut picked_dirs: Vec<usize> = vec![0];
-        while chosen.len() < r && picked_dirs.len() < pool.len() {
-            // Farthest direction from everything picked so far.
-            let next = (0..pool.len())
-                .filter(|i| !picked_dirs.contains(i))
-                .max_by(|&a, &b| {
-                    let da = picked_dirs
-                        .iter()
-                        .map(|&p| pool[a].distance(&pool[p]))
-                        .fold(f64::INFINITY, f64::min);
-                    let db = picked_dirs
-                        .iter()
-                        .map(|&p| pool[b].distance(&pool[p]))
-                        .fold(f64::INFINITY, f64::min);
-                    da.partial_cmp(&db).expect("finite")
-                });
-            let Some(next) = next else { break };
-            picked_dirs.push(next);
+        // 2. Farthest-point-sampled directions fill the budget. Once every
+        // skyline tuple is chosen, later picks cannot add one.
+        let mut farthest = FarthestFirst::new(&pool);
+        while chosen.len() < r && chosen.len() < skyline.len() {
+            let Some(next) = farthest.next() else { break };
             if let Some(t) = rms_geom::top1(skyline, &pool[next]) {
                 let p = skyline.iter().find(|p| p.id() == t.id).expect("live");
                 add(p, &mut chosen, &mut chosen_ids);
@@ -280,6 +319,44 @@ mod tests {
         let qs = Sphere::default().compute(&sky, &db, 1, 12);
         let mrr = est.mrr(&db, &qs, 1);
         assert!(mrr < 0.12, "Sphere mrr {mrr}");
+    }
+
+    /// The farthest-first picks of the direct recomputation (every
+    /// candidate's distance to every picked direction, recomputed per
+    /// pick, `max_by` keeping the last maximum).
+    fn farthest_first_direct(pool: &[Utility]) -> Vec<usize> {
+        let mut picked: Vec<usize> = vec![0];
+        while picked.len() < pool.len() {
+            let nearest = |i: usize| {
+                picked
+                    .iter()
+                    .map(|&p| pool[i].distance(&pool[p]))
+                    .fold(f64::INFINITY, f64::min)
+            };
+            let next = (0..pool.len())
+                .filter(|i| !picked.contains(i))
+                .max_by(|&a, &b| nearest(a).partial_cmp(&nearest(b)).unwrap())
+                .unwrap();
+            picked.push(next);
+        }
+        picked.split_off(1)
+    }
+
+    #[test]
+    fn farthest_first_matches_direct_recomputation() {
+        for (seed, d, n) in [(1, 2, 12), (2, 3, 40), (3, 4, 60), (4, 6, 33)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pool = with_basis_prefix(&mut rng, d, n);
+            let picks: Vec<usize> = FarthestFirst::new(&pool).collect();
+            assert_eq!(picks, farthest_first_direct(&pool), "seed {seed}");
+        }
+        // Repeated directions tie on distance; the tie-break must match.
+        let pool: Vec<Utility> = [0, 1, 2, 1, 2, 0, 1]
+            .iter()
+            .map(|&i| Utility::basis(3, i))
+            .collect();
+        let picks: Vec<usize> = FarthestFirst::new(&pool).collect();
+        assert_eq!(picks, farthest_first_direct(&pool));
     }
 
     #[test]

@@ -13,11 +13,11 @@
 //!   bounded op queue into adaptive `apply_batch` calls and publishes
 //!   immutable snapshots; readers clone an `Arc` and never touch the
 //!   engine.
-//! * **sharded** — `rms_serve::ShardedRmsService`: `S` independent
-//!   appliers, each owning the id partition `id % S`, one writer thread
-//!   per shard, readers merging the per-shard snapshots. Both in-process
-//!   service disciplines run through the same generic harness — they are
-//!   just two `RmsBackend`s.
+//! * **sharded** — `rms_serve::RmsService` with `ServeConfig::shards =
+//!   S`: `S` independent appliers, each owning the id partition
+//!   `id % S`, one writer thread per shard, readers merging the
+//!   per-shard snapshots. Both in-process service disciplines run
+//!   through the same harness — they differ only in the shard count.
 //! * **tcp** — the full wire path: an `RmsServer` on loopback driven by
 //!   the typed `rms-client` crate. The writer pipelines mutations with
 //!   protocol-v2 `BATCH` frames (one ack per batch), readers issue
@@ -65,9 +65,7 @@ use rms_data::generators;
 use rms_eval::RegretEstimator;
 use rms_geom::{Point, PointId};
 use rms_serve::sync::recover_poisoned;
-use rms_serve::{
-    RmsBackend, RmsBackendHandle, RmsServer, RmsService, ServeConfig, ShardedRmsService,
-};
+use rms_serve::{RmsServer, RmsService, ServeConfig};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -280,38 +278,37 @@ fn phase_json(name: &str, o: &PhaseOutcome) -> String {
         .finish()
 }
 
-/// In-process service discipline, generic over the backend: the single
+/// In-process service discipline for any shard count: the single
 /// applier and the id-partitioned shard group run the identical harness —
 /// one writer per shard (each confined to its own id residue class),
 /// readers asserting pointwise-monotone epoch vectors.
-fn run_backend<B: RmsBackend>(
+fn run_service(
     initial: &[Point],
     sc: Scenario,
-    backend: B,
+    service: RmsService,
     est: &RegretEstimator,
 ) -> PhaseOutcome {
-    let shards = backend.shards();
+    let shards = service.shards();
     let stop = Arc::new(AtomicBool::new(false));
 
     let reader_handles: Vec<_> = (0..sc.readers)
         .map(|_| {
-            let handle = backend.handle();
+            let handle = service.handle();
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let mut tally = ReadTally::default();
                 let mut last_epochs: Vec<u64> = Vec::new();
                 while !stop.load(Ordering::Relaxed) {
                     let t = Instant::now();
-                    let view = handle.view();
+                    let snap = handle.snapshot();
                     tally.record(t.elapsed());
-                    let epochs = view.epochs();
                     if !last_epochs.is_empty() {
                         assert!(
-                            epochs.iter().zip(&last_epochs).all(|(n, l)| n >= l),
+                            snap.epochs.iter().zip(&last_epochs).all(|(n, l)| n >= l),
                             "epochs regressed"
                         );
                     }
-                    last_epochs = epochs;
+                    last_epochs.clone_from(&snap.epochs);
                     if !sc.pace.is_zero() {
                         std::thread::sleep(sc.pace);
                     }
@@ -328,7 +325,7 @@ fn run_backend<B: RmsBackend>(
     let writer_handles: Vec<_> = streams
         .into_iter()
         .map(|mut stream| {
-            let handle = backend.handle();
+            let handle = service.handle();
             let window = sc.window;
             std::thread::spawn(move || {
                 let mut submitted = 0u64;
@@ -344,29 +341,29 @@ fn run_backend<B: RmsBackend>(
         .into_iter()
         .map(|h| h.join().expect("writer thread"))
         .sum();
-    let handle = backend.handle();
-    let fds = backend.shutdown();
+    let handle = service.handle();
+    let fds = service.shutdown();
     let secs = start.elapsed().as_secs_f64();
     stop.store(true, Ordering::Relaxed);
     let tallies: Vec<ReadTally> = reader_handles
         .into_iter()
         .map(|h| h.join().expect("reader thread"))
         .collect();
-    let view = handle.view();
-    assert_eq!(view.stats().ops_rejected, 0);
-    assert_eq!(view.stats().ops_applied, submitted);
+    let snap = handle.snapshot();
+    assert_eq!(snap.stats.ops_rejected, 0);
+    assert_eq!(snap.stats.ops_applied, submitted);
     let live: Vec<Point> = fds.iter().flat_map(FdRms::live_points).collect();
-    let mrr = est.mrr(&live, view.result(), sc.k);
+    let mrr = est.mrr(&live, &snap.result, sc.k);
     PhaseOutcome {
-        ops_applied: view.stats().ops_applied,
+        ops_applied: snap.stats.ops_applied,
         reads: ReadTally::merge(&tallies),
         secs,
         mrr,
         detail: format!(
             "shards={shards} epochs={:?} max_coalesced={} avg_apply_ms={:.3}",
-            view.epochs(),
-            view.stats().max_coalesced,
-            view.stats().avg_apply_ms()
+            snap.epochs,
+            snap.stats.max_coalesced,
+            snap.stats.avg_apply_ms()
         ),
     }
 }
@@ -531,7 +528,7 @@ fn run_tcp(
         "subscriber delta replay diverged from the final QUERY"
     );
     let [fd] = fds.as_slice() else {
-        panic!("single backend returns one engine");
+        panic!("a one-shard service returns one engine");
     };
     let mrr = est.mrr(&fd.live_points(), &fd.result(), sc.k);
     PhaseOutcome {
@@ -742,7 +739,7 @@ fn run_fanout(initial: &[Point], sc: Scenario, subs: usize, publishes: u64) -> F
     }
 
     writer.shutdown().expect("shutdown ack");
-    // The backend's graceful drain can publish trailing deltas after the
+    // The service's graceful drain can publish trailing deltas after the
     // pulse loop's last submit (a final rebuild epoch, for instance). The
     // probe rides the same stream as the swarm, so draining it to EOF
     // gives the exact total publish count every subscriber saw.
@@ -879,7 +876,7 @@ fn main() {
     let blocking = run_blocking(&initial, scenario, &est);
     report("blocking", &blocking);
     phases.push(&phase_json("blocking", &blocking));
-    let service = run_backend(
+    let service = run_service(
         &initial,
         scenario,
         RmsService::start(scenario.builder(), initial.clone(), scenario.serve_config())
@@ -889,14 +886,16 @@ fn main() {
     report("service", &service);
     phases.push(&phase_json("service", &service));
     let sharded = (shards > 1).then(|| {
-        let backend = ShardedRmsService::start(
+        let group = RmsService::start(
             scenario.builder(),
             initial.clone(),
-            scenario.serve_config(),
-            shards,
+            ServeConfig {
+                shards,
+                ..scenario.serve_config()
+            },
         )
         .expect("valid bench configuration");
-        let outcome = run_backend(&initial, scenario, backend, &est);
+        let outcome = run_service(&initial, scenario, group, &est);
         report("sharded", &outcome);
         outcome
     });

@@ -168,8 +168,8 @@ struct Family {
 
 /// A process-local collection of labeled metric families.
 ///
-/// The serving stack creates one registry per backend (shared across
-/// all shards of a group), so a `krms serve` process has exactly one —
+/// The serving stack creates one registry per service (shared across
+/// all its shards), so a `krms serve` process has exactly one —
 /// effectively process-wide in production, while tests can keep
 /// several isolated instances in one process.
 #[derive(Debug)]

@@ -19,7 +19,7 @@
 //!   [`ServeConfig::max_batch`] under pressure, exactly where
 //!   `apply_batch` amortises best.
 //! * **Serving** never blocks ingestion: after every batch the applier
-//!   publishes an immutable, versioned [`ResultSnapshot`] (epoch, the
+//!   publishes an immutable, versioned [`ResultSnapshot`] (epochs, the
 //!   current solution, regret stats, a [`BatchRollup`](fdrms::BatchRollup)
 //!   of engine counters) behind a swapped `Arc`; readers clone the `Arc`
 //!   out and keep it as long as they like.
@@ -32,27 +32,29 @@
 //! * Every subsystem reports into an `rms-metrics`
 //!   [`Registry`](rms_metrics::Registry) — applier latencies, WAL
 //!   activity, per-shard counters, TCP request families — reachable
-//!   through [`RmsBackend::registry`], the `METRICS` verb, and `krms
+//!   through [`RmsService::registry`], the `METRICS` verb, and `krms
 //!   serve --metrics-addr`'s `GET /metrics` endpoint.
-//! * [`ShardedRmsService`] scales ingestion across cores: `S`
-//!   independent services, each owning the id partition `id % S`,
-//!   behind a router with the same submit/snapshot/shutdown surface.
-//!   Reads merge the per-shard solutions into one
-//!   [`AggregateSnapshot`] (per-shard epochs, summed stats, union
+//! * [`ServeConfig::shards`] scales ingestion across cores: `S`
+//!   engines, each owning the id partition `id % S` with its own
+//!   applier and queue, behind the same submit/snapshot/shutdown
+//!   surface. `S = 1` (the default) reads and watches its one engine
+//!   directly; with `S > 1` reads merge the per-shard solutions into
+//!   one [`ResultSnapshot`] (per-shard epochs, summed stats, union
 //!   re-trimmed to `r`).
-//! * Both backends implement [`RmsBackend`] (their handles implement
-//!   [`RmsBackendHandle`]), so front ends are written once against the
-//!   trait pair: submit, read a unified [`BackendView`], or
-//!   [`watch`](RmsBackendHandle::watch) the push stream of
-//!   [`SnapshotDelta`]s computed at publish time — applying every delta
-//!   to the starting snapshot reproduces the published solution at each
-//!   delivered version.
+//! * Front ends (TCP server, CLI, benches) hold an [`RmsHandle`]:
+//!   submit, read the current [`ResultSnapshot`], or
+//!   [`watch`](RmsHandle::watch) the push stream of [`SnapshotDelta`]s
+//!   computed at publish time — applying every delta to the starting
+//!   snapshot reproduces the published solution at each delivered
+//!   version.
 //! * An optional [write-ahead log](crate::wal) makes acknowledgements
 //!   durable: every acknowledged op is framed into an append-only log
 //!   *before* its acknowledgement ([`RmsService::start_with_wal`]),
 //!   with enqueue and append serialized so log order equals apply
 //!   order; the log is replayed on the next start after an unclean
-//!   death, and graceful shutdown compacts it to a checkpoint.
+//!   death, and graceful shutdown compacts it to a checkpoint. One
+//!   shard logs to the given path, `S > 1` shards to `<path>.<i>` plus
+//!   a `<path>.meta` shard-count sidecar.
 //!
 //! ## Example
 //!
@@ -76,8 +78,10 @@
 //! handle.submit(Op::Insert(Point::new(1_000, vec![0.9, 0.9]).unwrap())).unwrap();
 //! assert!(service.snapshot().result.len() <= 4);
 //!
-//! // Graceful shutdown drains the queue and returns the engine.
-//! let fd = service.shutdown();
+//! // Graceful shutdown drains the queue and returns the engines, one
+//! // per shard.
+//! let fds = service.shutdown();
+//! let fd = &fds[0];
 //! assert!(fd.contains(1_000));
 //! fd.check_invariants().unwrap();
 //! ```
@@ -85,18 +89,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backend;
 mod net;
 pub mod protocol;
 mod service;
-mod sharded;
+mod shard;
 mod snapshot;
 pub mod sync;
 pub mod tcp;
 pub mod wal;
 
-pub use backend::{BackendView, DeltaReceiver, RmsBackend, RmsBackendHandle};
-pub use service::{RmsHandle, RmsService, ServeConfig, ServeError, SubmitError};
-pub use sharded::{AggregateSnapshot, ShardedHandle, ShardedRmsService};
+pub use service::{DeltaReceiver, RmsHandle, RmsService, ServeConfig, ServeError, SubmitError};
 pub use snapshot::{ResultSnapshot, ServiceStats, SnapshotDelta, StatsDelta};
 pub use tcp::RmsServer;

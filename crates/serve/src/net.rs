@@ -6,7 +6,7 @@
 //! runs on a reactor thread inside a handler callback and must never
 //! block (enforced by `rms-analyze`'s `reactor-no-block` rule).
 //! Orchestration that legitimately blocks — thread joins, the applier
-//! pump's channel receive, backend shutdown — lives in
+//! pump's channel receive, service shutdown — lives in
 //! [`tcp`](crate::tcp).
 //!
 //! # Fan-out shape
@@ -20,10 +20,9 @@
 //! coalescing subscribers (`every=K`) are the only truly per-subscriber
 //! encode path, and only on their flush beat.
 
-use crate::backend::{BackendView, RmsBackendHandle};
 use crate::protocol::{parse_request, Request, MAX_BATCH_LINES, PROTOCOL_VERSION};
-use crate::service::SubmitError;
-use crate::snapshot::SnapshotDelta;
+use crate::service::{RmsHandle, SubmitError};
+use crate::snapshot::{ResultSnapshot, SnapshotDelta};
 use fdrms::Op;
 use rms_geom::{Point, PointId};
 use rms_metrics::{Counter, Gauge, Histogram, Registry};
@@ -73,11 +72,11 @@ fn verb_index(line: &str) -> usize {
 }
 
 /// Front-end instruments, registered once at [`RmsServer::run`]
-/// (crate::RmsServer::run) into the backend's registry and cloned into
+/// (crate::RmsServer::run) into the service's registry and cloned into
 /// every reactor handler.
 #[derive(Debug, Clone)]
 pub(crate) struct TcpMetrics {
-    /// The backend registry, kept for the `METRICS` verb's exposition.
+    /// The service registry, kept for the `METRICS` verb's exposition.
     pub(crate) registry: Arc<Registry>,
     /// `rms_tcp_connections_total`.
     pub(crate) connections: Counter,
@@ -176,7 +175,7 @@ impl ServeNetMetrics {
     }
 }
 
-/// Static backend parameters every connection needs (for `HELLO`
+/// Static service parameters every connection needs (for `HELLO`
 /// replies and op parsing), captured once at bind time.
 #[derive(Clone, Copy)]
 pub(crate) struct ServerInfo {
@@ -199,13 +198,13 @@ pub(crate) enum NetCmd {
         delta: Arc<SnapshotDelta>,
         line: Arc<[u8]>,
     },
-    /// The backend shut down; flush pending subscriptions and drain.
+    /// The service shut down; flush pending subscriptions and drain.
     StreamEnd,
 }
 
 /// The handler's replica of the published solution, advanced by every
 /// [`NetCmd::Publish`]. `SUBSCRIBE` acks read from this mirror — not
-/// from a fresh backend snapshot — so the ack and the deltas that
+/// from a fresh service snapshot — so the ack and the deltas that
 /// follow it are gap-free by construction: the ack reflects exactly
 /// the publishes this reactor has already fanned out.
 #[derive(Debug, Clone)]
@@ -214,17 +213,15 @@ pub(crate) struct Mirror {
     epochs: Vec<u64>,
     len: usize,
     ids: BTreeSet<PointId>,
-    sharded: bool,
 }
 
 impl Mirror {
-    pub(crate) fn from_view(view: &BackendView) -> Self {
+    pub(crate) fn from_snapshot(snap: &ResultSnapshot) -> Self {
         Mirror {
-            version: view.version(),
-            epochs: view.epochs(),
-            len: view.len(),
-            ids: view.result_ids().into_iter().collect(),
-            sharded: view.is_merged(),
+            version: snap.version(),
+            epochs: snap.epochs.clone(),
+            len: snap.len,
+            ids: snap.result.iter().map(Point::id).collect(),
         }
     }
 
@@ -296,8 +293,8 @@ impl ConnState {
 /// The per-reactor protocol handler: owns connection states, a solution
 /// [`Mirror`], and the injectors of every peer reactor (for the accept
 /// handoff ring).
-pub(crate) struct NetHandler<H: RmsBackendHandle> {
-    handle: H,
+pub(crate) struct NetHandler {
+    handle: RmsHandle,
     info: ServerInfo,
     metrics: TcpMetrics,
     net: ServeNetMetrics,
@@ -311,10 +308,10 @@ pub(crate) struct NetHandler<H: RmsBackendHandle> {
     park_armed: bool,
 }
 
-impl<H: RmsBackendHandle> NetHandler<H> {
+impl NetHandler {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        handle: H,
+        handle: RmsHandle,
         info: ServerInfo,
         metrics: TcpMetrics,
         net: ServeNetMetrics,
@@ -498,7 +495,7 @@ impl<H: RmsBackendHandle> NetHandler<H> {
         };
         let ack = format!(
             "OK subscribed every={every}{filter_field} {} n={} ids={ids}",
-            version_fields(self.mirror.sharded, &self.mirror.epochs),
+            epoch_fields(&self.mirror.epochs, EpochLine::Delta),
             self.mirror.len,
         );
         if let Some(state) = self.conns.get_mut(&token.0) {
@@ -522,7 +519,6 @@ impl<H: RmsBackendHandle> NetHandler<H> {
         }
         let started = Instant::now();
         self.mirror.apply(delta);
-        let sharded = self.mirror.sharded;
 
         // Pass 1 (handler state only): route each subscriber — direct
         // push, coalesce-and-hold, or coalesce-and-flush.
@@ -560,7 +556,7 @@ impl<H: RmsBackendHandle> NetHandler<H> {
                 None => Arc::clone(line),
                 Some(f) => Arc::clone(filtered_cache.entry(f).or_insert_with(|| {
                     self.net.encodes_filtered.inc();
-                    encode_delta_line(delta, sharded, Some(f))
+                    encode_delta_line(delta, Some(f))
                 })),
             };
             if ctx.push(token, &segment) {
@@ -569,7 +565,7 @@ impl<H: RmsBackendHandle> NetHandler<H> {
         }
         for (token, merged, filter) in flush {
             self.net.encodes_coalesced.inc();
-            let segment = encode_delta_line(&merged, sharded, filter);
+            let segment = encode_delta_line(&merged, filter);
             if ctx.push(token, &segment) {
                 self.metrics.delta_bytes.add(segment.len() as u64);
             }
@@ -585,7 +581,6 @@ impl<H: RmsBackendHandle> NetHandler<H> {
     /// Flushes every held coalescing accumulator (idle beat or stream
     /// end).
     fn flush_pending_subs(&mut self, ctx: &mut Ctx<'_>) {
-        let sharded = self.mirror.sharded;
         let mut flush: Vec<PendingFlush> = Vec::new();
         for (&token, state) in &mut self.conns {
             if let Some(sub) = state.sub.as_mut() {
@@ -596,7 +591,7 @@ impl<H: RmsBackendHandle> NetHandler<H> {
         }
         for (token, pending, filter) in flush {
             self.net.encodes_coalesced.inc();
-            let segment = encode_delta_line(&pending, sharded, filter);
+            let segment = encode_delta_line(&pending, filter);
             if ctx.push(token, &segment) {
                 self.metrics.delta_bytes.add(segment.len() as u64);
             }
@@ -621,7 +616,7 @@ impl<H: RmsBackendHandle> NetHandler<H> {
     }
 }
 
-impl<H: RmsBackendHandle> Handler for NetHandler<H> {
+impl Handler for NetHandler {
     type Cmd = NetCmd;
 
     fn on_accept(&mut self, stream: TcpStream, ctx: &mut Ctx<'_>) {
@@ -708,7 +703,7 @@ impl<H: RmsBackendHandle> Handler for NetHandler<H> {
                 self.submit_parked(token, parked, ctx);
             }
             Ok(Request::Query) => {
-                let text = format_query(&self.handle.view());
+                let text = format_query(&self.handle.snapshot());
                 self.reply(token, verb_idx, started, &text, ctx);
             }
             Ok(Request::Stats) => {
@@ -828,10 +823,9 @@ impl<H: RmsBackendHandle> Handler for NetHandler<H> {
 /// sliced to an id-range filter.
 pub(crate) fn encode_delta_line(
     delta: &SnapshotDelta,
-    sharded: bool,
     filter: Option<(PointId, PointId)>,
 ) -> Arc<[u8]> {
-    let mut line = format_delta(delta, sharded, filter);
+    let mut line = format_delta(delta, filter);
     line.push('\n');
     Arc::from(line.into_bytes().into_boxed_slice())
 }
@@ -840,15 +834,11 @@ pub(crate) fn encode_delta_line(
 /// [-ids]`. With a filter, the `+`/`-` id lists are sliced to the
 /// range; the header always goes out (even when both slices are
 /// empty), so filtered subscribers still observe every version.
-pub(crate) fn format_delta(
-    delta: &SnapshotDelta,
-    sharded: bool,
-    filter: Option<(PointId, PointId)>,
-) -> String {
+pub(crate) fn format_delta(delta: &SnapshotDelta, filter: Option<(PointId, PointId)>) -> String {
     let in_range = |id: PointId| filter.is_none_or(|(lo, hi)| id >= lo && id <= hi);
     let mut out = format!(
         "DELTA {} from={} n={}",
-        version_fields(sharded, &delta.epochs),
+        epoch_fields(&delta.epochs, EpochLine::Delta),
         delta.from_version,
         delta.len,
     );
@@ -865,51 +855,54 @@ pub(crate) fn format_delta(
     out
 }
 
-/// The `epoch=E` / `epochs=e0,e1,… version=V` field pair, matching the
-/// single/sharded dichotomy of `QUERY` replies.
-pub(crate) fn version_fields(merged: bool, epochs: &[u64]) -> String {
-    if merged {
-        format!(
-            "epochs={} version={}",
-            join_u64(epochs),
-            epochs.iter().sum::<u64>()
-        )
-    } else {
-        format!("epoch={}", epochs.first().copied().unwrap_or(0))
+/// Which reply an epoch vector is spelled for: the multi-shard form
+/// carries a different tail after the list on each.
+#[derive(Clone, Copy)]
+pub(crate) enum EpochLine {
+    /// `QUERY`: `epochs=e0,e1,…`.
+    Query,
+    /// `STATS`: `epochs=e0,e1,… shards=S`.
+    Stats,
+    /// `DELTA` lines and `SUBSCRIBE` acks: `epochs=e0,e1,… version=V`.
+    Delta,
+}
+
+/// The wire spelling of an epoch vector — the one place that picks the
+/// single-shard `epoch=E` or the multi-shard `epochs=…` form, from the
+/// vector's length.
+pub(crate) fn epoch_fields(epochs: &[u64], line: EpochLine) -> String {
+    if let [epoch] = epochs {
+        return format!("epoch={epoch}");
+    }
+    let list = join_u64(epochs);
+    match line {
+        EpochLine::Query => format!("epochs={list}"),
+        EpochLine::Stats => format!("epochs={list} shards={}", epochs.len()),
+        EpochLine::Delta => format!("epochs={list} version={}", epochs.iter().sum::<u64>()),
     }
 }
 
-pub(crate) fn format_query(view: &BackendView) -> String {
-    let epochs = view.epochs();
-    let head = if view.is_merged() {
-        format!("OK epochs={}", join_u64(&epochs))
-    } else {
-        format!("OK epoch={}", epochs[0])
-    };
+pub(crate) fn format_query(snap: &ResultSnapshot) -> String {
     format!(
-        "{head} n={} r={} ids={}",
-        view.len(),
-        view.result().len(),
-        join_ids(view.result()),
+        "OK {} n={} r={} ids={}",
+        epoch_fields(&snap.epochs, EpochLine::Query),
+        snap.len,
+        snap.result.len(),
+        join_ids(&snap.result),
     )
 }
 
-pub(crate) fn format_stats<H: RmsBackendHandle>(handle: &H) -> String {
-    let view = handle.view();
-    let epochs = view.epochs();
-    let s = view.stats();
-    let mut out = if view.is_merged() {
-        format!("OK epochs={} shards={}", join_u64(&epochs), epochs.len())
-    } else {
-        format!("OK epoch={}", epochs[0])
-    };
+pub(crate) fn format_stats(handle: &RmsHandle) -> String {
+    let snap = handle.snapshot();
+    let s = &snap.stats;
+    let mut out = format!("OK {}", epoch_fields(&snap.epochs, EpochLine::Stats));
     out.push_str(&format!(
         " n={} m={} r={} queue_depth={} batches={} replayed_batches={} \
          ops_applied={} ops_rejected={} wal_recovered={} last_batch={} max_coalesced={} \
          avg_apply_ms={:.4} last_apply_ms={:.4}",
-        view.len(),
-        view.m(),
-        view.result().len(),
+        snap.len,
+        snap.m,
+        snap.result.len(),
         handle.queue_depth(),
         s.batches,
         s.replayed_batches,
@@ -921,7 +914,7 @@ pub(crate) fn format_stats<H: RmsBackendHandle>(handle: &H) -> String {
         s.avg_apply_ms(),
         s.last_apply_ms,
     ));
-    if let Some(mrr) = view.mrr() {
+    if let Some(mrr) = snap.mrr {
         out.push_str(&format!(" mrr={mrr:.5}"));
     }
     if let Some((hits, misses)) = handle.merge_cache_stats() {

@@ -1,145 +1,49 @@
-//! The ingestion service: a dedicated applier thread over a bounded op
-//! queue, publishing immutable snapshots after every coalesced batch,
-//! with an optional write-ahead log for crash durability.
+//! The service: `S` id-partitioned [shards](crate::shard) behind one
+//! submit/snapshot/watch/shutdown surface — `S = 1` by default.
+//!
+//! Partitioning is by tuple id — shard `id % S` owns the tuple for its
+//! whole lifetime, so every operation on one id flows through one
+//! shard's queue and per-id ordering is exactly the single-engine
+//! guarantee. With one shard, reads return that shard's published
+//! snapshot and watchers register with its applier directly. With
+//! several, reads merge the per-shard snapshots into one
+//! [`ResultSnapshot`] — per-shard epochs, summed [`ServiceStats`], and
+//! the union of the shard solutions re-trimmed to the configured `r` by
+//! the sampled-greedy step ([`GreedyStar`](rms_baselines::GreedyStar)) —
+//! cached by epoch vector, and a router thread turns the merged states
+//! into the watch stream.
 
-use crate::backend::{BackendView, DeltaReceiver};
-use crate::snapshot::{ResultSnapshot, ServiceStats, SnapshotCell, SnapshotDelta};
+use crate::shard::{Shard, ShardHandle};
+use crate::snapshot::{ResultSnapshot, ServiceStats, SnapshotDelta};
 use crate::sync::recover_poisoned;
-use crate::wal::{Wal, WalSyncHandle};
+use crate::wal;
 use fdrms::{FdRms, FdRmsBuilder, FdRmsError, Op};
-use rms_eval::RegretEstimator;
+use rms_baselines::{GreedyStar, StaticRms};
 use rms_geom::Point;
-use rms_metrics::{Counter, Gauge, Histogram, Registry};
+use rms_metrics::{Counter, Registry};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{channel, Receiver, RecvError, RecvTimeoutError, TryRecvError};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// One registered subscriber of the publish stream. The sharded router
-/// only needs to be *woken* per publish (it re-merges and diffs merged
-/// states itself), so it registers as `Signal` and the applier skips
-/// computing — let alone cloning — a delta for it.
-#[derive(Debug)]
-pub(crate) enum Watcher {
-    /// Receives the full [`SnapshotDelta`] computed at publish time.
-    Full(Sender<SnapshotDelta>),
-    /// Receives a unit wake-up per publish.
-    Signal(Sender<()>),
-}
-
-/// The watcher registry shared by handles (which register) and the
-/// applier (which broadcasts per publish and prunes dead watchers).
-/// Registration reads the snapshot cell *under this lock*, and the
-/// applier swaps the cell and broadcasts under it too, so a watcher's
-/// base snapshot and its first delta always line up gap-free.
-type WatcherRegistry = Arc<Mutex<Vec<Watcher>>>;
-
-/// Instrument handles for one service instance, registered once at
-/// start against the backend's [`Registry`] (with a `shard="N"` label
-/// inside a shard group) and cloned wherever the hot paths run: the
-/// applier thread owns the batch/publish instruments, client handles
-/// carry the WAL append counter.
-#[derive(Debug, Clone)]
-pub(crate) struct ServiceMetrics {
-    /// `rms_applier_queue_depth` — refreshed at every publish.
-    queue_depth: Gauge,
-    /// `rms_applier_batch_ops` — coalesced ops per `apply_batch` call.
-    batch_ops: Histogram,
-    /// `rms_applier_apply_seconds` — wall clock per coalesced batch.
-    apply_seconds: Histogram,
-    /// `rms_applier_publish_seconds` — snapshot build + delta fan-out.
-    publish_seconds: Histogram,
-    /// `rms_applier_snapshot_publishes_total`.
-    publishes: Counter,
-    /// `rms_applier_ops_applied_total`.
-    ops_applied: Counter,
-    /// `rms_applier_ops_rejected_total`.
-    ops_rejected: Counter,
-    /// `rms_wal_appends_total` — op frames appended by submitters.
-    wal_appends: Counter,
-    /// `rms_wal_fsync_seconds` — its `_count` is the fsync count.
-    wal_fsync_seconds: Histogram,
-    /// `rms_wal_recovered_ops_total` — ops accepted during replay.
-    wal_recovered_ops: Counter,
-    /// `rms_wal_truncated_tail_bytes_total` — torn bytes dropped at open.
-    wal_truncated_bytes: Counter,
-}
-
-impl ServiceMetrics {
-    /// Registers the applier/WAL families, labeled `shard="N"` inside a
-    /// shard group (every shard shares one registry, so the families
-    /// gain one series per shard).
-    pub(crate) fn register(registry: &Registry, shard: Option<usize>) -> Self {
-        let shard_value = shard.map(|i| i.to_string());
-        let labels: Vec<(&str, &str)> = shard_value.iter().map(|v| ("shard", v.as_str())).collect();
-        let l = labels.as_slice();
-        ServiceMetrics {
-            queue_depth: registry.register_gauge(
-                "rms_applier_queue_depth",
-                "Operations queued behind the applier (sampled at publish).",
-                l,
-            ),
-            batch_ops: registry.register_histogram_values(
-                "rms_applier_batch_ops",
-                "Operations coalesced into one apply_batch call.",
-                l,
-            ),
-            apply_seconds: registry.register_histogram(
-                "rms_applier_apply_seconds",
-                "Wall-clock latency of one coalesced batch apply.",
-                l,
-            ),
-            publish_seconds: registry.register_histogram(
-                "rms_applier_publish_seconds",
-                "Wall-clock latency of one snapshot publish (build plus delta fan-out).",
-                l,
-            ),
-            publishes: registry.register_counter(
-                "rms_applier_snapshot_publishes_total",
-                "Snapshots published by the applier.",
-                l,
-            ),
-            ops_applied: registry.register_counter(
-                "rms_applier_ops_applied_total",
-                "Operations the engine accepted.",
-                l,
-            ),
-            ops_rejected: registry.register_counter(
-                "rms_applier_ops_rejected_total",
-                "Operations validation rejected.",
-                l,
-            ),
-            wal_appends: registry.register_counter(
-                "rms_wal_appends_total",
-                "Op frames appended to the write-ahead log.",
-                l,
-            ),
-            wal_fsync_seconds: registry.register_histogram(
-                "rms_wal_fsync_seconds",
-                "Write-ahead log group-commit fsync latency.",
-                l,
-            ),
-            wal_recovered_ops: registry.register_counter(
-                "rms_wal_recovered_ops_total",
-                "Logged operations accepted during crash replay.",
-                l,
-            ),
-            wal_truncated_bytes: registry.register_counter(
-                "rms_wal_truncated_tail_bytes_total",
-                "Torn-tail bytes truncated from the write-ahead log at open.",
-                l,
-            ),
-        }
-    }
-}
+/// Utility-vector samples for the multi-shard re-trim. The union being
+/// trimmed holds at most `S·r` tuples, so the sampled greedy is cheap;
+/// the merge cache amortises it to one run per published shard state.
+const TRIM_SAMPLES: usize = 512;
+const TRIM_SEED: u64 = 0x5AD3;
 
 /// Tuning knobs for [`RmsService`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Capacity of the bounded ingestion queue. A full queue blocks
-    /// [`RmsHandle::submit`] (backpressure) until the applier drains.
+    /// Number of id-partitioned shards `S` (default 1): shard `id % S`
+    /// owns each tuple, with its own engine, applier thread, ingestion
+    /// queue and (when WAL-backed) log. Ingestion scales with shards
+    /// because the per-op maintenance cost lands on `S` applier threads
+    /// instead of one; reads stay non-blocking through a merge cache.
+    pub shards: usize,
+    /// Capacity of each shard's bounded ingestion queue. A full queue
+    /// blocks [`RmsHandle::submit`] (backpressure) until the applier
+    /// drains.
     pub queue_capacity: usize,
     /// Upper bound on the ops coalesced into one `apply_batch` call. The
     /// actual batch size adapts to load: whatever is queued when the
@@ -169,6 +73,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
+            shards: 1,
             queue_capacity: 1024,
             max_batch: 512,
             mrr_directions: 0,
@@ -179,12 +84,14 @@ impl Default for ServeConfig {
     }
 }
 
-/// Why starting a WAL-backed service failed.
+/// Why starting a service failed.
 #[derive(Debug)]
 pub enum ServeError {
-    /// Engine construction or replay-base validation failed.
+    /// Engine construction, replay-base validation, or the shard count
+    /// failed.
     Engine(FdRmsError),
-    /// The write-ahead log could not be opened, scanned, or created.
+    /// The write-ahead log could not be opened, scanned, or created, or
+    /// was written under a different shard count.
     Wal(std::io::Error),
 }
 
@@ -227,216 +134,300 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-enum Msg {
-    Op(Op),
-    Shutdown,
-    /// Durability-testing hook: stop the applier *immediately* — no
-    /// drain, no final snapshot, no WAL compaction — as an unclean kill
-    /// would. See [`RmsService::crash`].
-    Crash,
+/// The receiving end of a delta subscription: the starting
+/// [`ResultSnapshot`] plus a stream of [`SnapshotDelta`]s that apply on
+/// top of it, pushed by the publish path (no polling). The stream is
+/// *gap-free*: the first delta's `from_version` equals the base
+/// snapshot's version and each subsequent delta continues where the
+/// previous ended. It closes when the service shuts down or the
+/// receiver is dropped.
+///
+/// Delivery is unbounded-buffered: a subscriber that stops receiving
+/// accumulates pending deltas (each at most `2r` entries) until it is
+/// dropped — it can never stall the applier.
+#[derive(Debug)]
+pub struct DeltaReceiver {
+    rx: Receiver<SnapshotDelta>,
+    base: Arc<ResultSnapshot>,
 }
 
-/// High bit of the ingestion state word: set when shutdown begins. The
-/// low bits count acknowledged-but-undrained submissions, so checking
-/// "still accepting" and registering a submission is one atomic RMW —
-/// a submission either observes the closed bit (and is rejected before
-/// acknowledgement) or its count is visible to the shutdown drain, which
-/// runs until the count reaches zero. No interleaving can acknowledge an
-/// op and then drop it.
-const CLOSED_BIT: usize = 1 << (usize::BITS - 1);
-const COUNT_MASK: usize = CLOSED_BIT - 1;
+impl DeltaReceiver {
+    pub(crate) fn new(rx: Receiver<SnapshotDelta>, base: Arc<ResultSnapshot>) -> Self {
+        Self { rx, base }
+    }
 
-// The state word carries the accept/drain handshake above, so its RMWs
-// and the loads that pair with them are SeqCst; the two monitoring-only
-// reads (queue-depth gauges) are Relaxed on purpose.
-// rms-analyze: atomic-policy(state: SeqCst|Relaxed)
+    /// The published state the delta stream starts from.
+    pub fn base(&self) -> &ResultSnapshot {
+        &self.base
+    }
+
+    /// Blocks for the next delta; `Err` means the stream closed (the
+    /// service shut down).
+    pub fn recv(&self) -> Result<SnapshotDelta, RecvError> {
+        self.rx.recv()
+    }
+
+    /// Non-blocking [`DeltaReceiver::recv`].
+    pub fn try_recv(&self) -> Result<SnapshotDelta, TryRecvError> {
+        self.rx.try_recv()
+    }
+
+    /// [`DeltaReceiver::recv`] with a timeout.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<SnapshotDelta, RecvTimeoutError> {
+        self.rx.recv_timeout(timeout)
+    }
+
+    /// Iterates deltas until the stream closes.
+    pub fn iter(&self) -> impl Iterator<Item = SnapshotDelta> + '_ {
+        self.rx.iter()
+    }
+}
+
+/// The merge state of a multi-shard service, shared by every
+/// [`RmsHandle`]: gathering the per-shard snapshots and merging them
+/// happens under one lock, which both serializes merges (making
+/// published epoch vectors pointwise monotone) and caches the result —
+/// readers at the same shard state pay an `Arc` clone, not a re-merge.
+#[derive(Debug)]
+struct Merger {
+    k: usize,
+    r: usize,
+    cache: Mutex<Option<Arc<ResultSnapshot>>>,
+    /// Reads served by the cached merge (an `Arc` clone). Lives in the
+    /// service's metrics registry as `rms_shard_merge_hits_total`, and
+    /// is exposed as `merge_hits=` in `STATS` so the epoch-vector
+    /// cache's effectiveness is observable from outside.
+    hits: Counter,
+    /// Reads that had to re-merge because some shard published a new
+    /// epoch (`rms_shard_merge_misses_total` / `merge_misses=`).
+    misses: Counter,
+}
+
+impl Merger {
+    fn new(k: usize, r: usize, registry: &Registry) -> Self {
+        Merger {
+            k,
+            r,
+            cache: Mutex::new(None),
+            hits: registry.register_counter(
+                "rms_shard_merge_hits_total",
+                "Merged-snapshot reads served from the epoch-vector cache.",
+                &[],
+            ),
+            misses: registry.register_counter(
+                "rms_shard_merge_misses_total",
+                "Merged-snapshot reads that re-merged after a shard published.",
+                &[],
+            ),
+        }
+    }
+
+    fn snapshot(&self, shards: &[ShardHandle]) -> Arc<ResultSnapshot> {
+        let mut guard = recover_poisoned(self.cache.lock());
+        let snaps: Vec<Arc<ResultSnapshot>> = shards.iter().map(ShardHandle::snapshot).collect();
+        if let Some(cached) = guard.as_ref() {
+            if snaps
+                .iter()
+                .zip(&cached.epochs)
+                .all(|(s, &e)| s.version() == e)
+            {
+                self.hits.inc();
+                return Arc::clone(cached);
+            }
+        }
+        self.misses.inc();
+        let merged = Arc::new(self.merge(&snaps));
+        *guard = Some(Arc::clone(&merged));
+        merged
+    }
+
+    fn merge(&self, snaps: &[Arc<ResultSnapshot>]) -> ResultSnapshot {
+        let mut stats = ServiceStats::default();
+        let mut union: Vec<Point> = Vec::new();
+        let mut len = 0;
+        let mut m = 0;
+        let mut mrr: Option<f64> = None;
+        for snap in snaps {
+            stats.absorb(&snap.stats);
+            union.extend(snap.result.iter().cloned());
+            len += snap.len;
+            m += snap.m;
+            if let Some(v) = snap.mrr {
+                mrr = Some(mrr.map_or(v, |w: f64| w.max(v)));
+            }
+        }
+        // Shards own disjoint id partitions, so the union is dup-free;
+        // it only needs trimming when it exceeds the budget.
+        let mut result = if union.len() > self.r {
+            GreedyStar {
+                samples: TRIM_SAMPLES,
+                seed: TRIM_SEED,
+            }
+            .compute(&[], &union, self.k, self.r)
+        } else {
+            union
+        };
+        result.sort_unstable_by_key(Point::id);
+        ResultSnapshot {
+            epochs: snaps.iter().map(|s| s.version()).collect(),
+            result,
+            len,
+            m,
+            mrr,
+            stats,
+        }
+    }
+}
 
 /// A cheap, cloneable client of a running [`RmsService`]: submit
-/// operations (blocking or not) and read published snapshots. Handles
+/// operations (blocking or not), read published snapshots, and watch
+/// the delta stream. Mutations route to their id's shard. Handles
 /// outlive the service gracefully — submissions after shutdown return
 /// [`SubmitError::Disconnected`], snapshot reads keep returning the last
 /// published state.
 #[derive(Debug, Clone)]
 pub struct RmsHandle {
-    tx: SyncSender<Msg>,
-    state: Arc<AtomicUsize>,
-    cell: Arc<SnapshotCell>,
-    wal: Option<Arc<Mutex<Wal>>>,
-    watchers: WatcherRegistry,
-    metrics: ServiceMetrics,
+    shards: Arc<[ShardHandle]>,
+    /// `Some` only with several shards; a single shard's reads never
+    /// merge.
+    merger: Option<Arc<Merger>>,
 }
 
 impl RmsHandle {
-    /// Registers one pending submission unless shutdown has begun.
-    fn register(&self) -> bool {
-        let prev = self.state.fetch_add(1, Ordering::SeqCst);
-        if prev & CLOSED_BIT != 0 {
-            self.state.fetch_sub(1, Ordering::SeqCst);
-            return false;
-        }
-        true
+    fn shard_of(&self, op: &Op) -> &ShardHandle {
+        &self.shards[(op.id() % self.shards.len() as u64) as usize]
     }
 
-    /// Enqueues one operation, blocking while the queue is full
-    /// (backpressure). `Ok` means the operation *will* be applied — a
-    /// graceful shutdown drains every acknowledged op — and on a
-    /// WAL-backed service that the op is on the log before this returns.
+    /// Enqueues one operation on its id's shard, blocking while that
+    /// shard's queue is full (backpressure). `Ok` means the operation
+    /// *will* be applied — a graceful shutdown drains every acknowledged
+    /// op — and on a WAL-backed service that the op is on the log before
+    /// this returns. Per-id ordering is preserved: one id always maps to
+    /// one shard queue.
     ///
     /// **WAL ordering**: the enqueue and the log append happen atomically
-    /// under the log mutex (a try-send loop, so the mutex is never held
-    /// across a blocking wait), which makes log order equal queue order —
-    /// the order the applier applies ops in — even when different threads
-    /// race conflicting ops on the same id. Recovery therefore replays
-    /// exactly the serialization the live service applied. The applier's
-    /// group-commit fsync runs on a duplicated descriptor and never takes
-    /// this mutex, so submitters cannot deadlock against it; the append
-    /// lands after the enqueue, so an op's own batch commit can race its
-    /// record — an acknowledged op is fsync-durable no later than the
-    /// batch commit *after* its acknowledgement.
+    /// under the shard's log mutex, which makes log order equal apply
+    /// order even when different threads race conflicting ops on the
+    /// same id; recovery replays exactly the serialization the live
+    /// service applied. An acknowledged op is fsync-durable (with
+    /// [`ServeConfig::wal_fsync`]) no later than the batch commit *after*
+    /// its acknowledgement.
     ///
     /// The application itself is asynchronous; a later
     /// [`RmsHandle::snapshot`] whose stats show it absorbed reflects it.
     pub fn submit(&self, op: Op) -> Result<(), SubmitError> {
-        if !self.register() {
-            return Err(SubmitError::Disconnected(op));
-        }
-        let Some(wal) = &self.wal else {
-            return match self.tx.send(Msg::Op(op)) {
-                Ok(()) => Ok(()),
-                Err(e) => {
-                    self.state.fetch_sub(1, Ordering::SeqCst);
-                    let Msg::Op(op) = e.0 else {
-                        // rms-analyze: allow(unwrap-nontest, "send() above only ever sends Msg::Op; the error returns that value")
-                        unreachable!("handles only send ops")
-                    };
-                    Err(SubmitError::Disconnected(op))
-                }
-            };
-        };
-        // The op is framed once, outside the lock; the loop backs off
-        // outside the lock too, so the critical section is only the
-        // non-blocking try-send plus the append.
-        let frame = Wal::frame_op(&op);
-        let mut msg = Msg::Op(op);
-        loop {
-            let mut guard = recover_poisoned(wal.lock());
-            match self.tx.try_send(msg) {
-                Ok(()) => {
-                    append_logged(&mut guard, &frame);
-                    self.metrics.wal_appends.inc();
-                    return Ok(());
-                }
-                Err(TrySendError::Disconnected(m)) => {
-                    drop(guard);
-                    self.state.fetch_sub(1, Ordering::SeqCst);
-                    let Msg::Op(op) = m else {
-                        // rms-analyze: allow(unwrap-nontest, "try_send() above only ever sends Msg::Op; the error returns that value")
-                        unreachable!("handles only send ops")
-                    };
-                    return Err(SubmitError::Disconnected(op));
-                }
-                Err(TrySendError::Full(m)) => {
-                    drop(guard);
-                    msg = m;
-                    // Backpressure: the queue drains at applier-batch
-                    // cadence (milliseconds), so a sub-millisecond poll
-                    // wastes neither latency nor CPU.
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-            }
-        }
+        self.shard_of(&op).submit(op)
     }
 
     /// Non-blocking [`RmsHandle::submit`]: fails fast with
-    /// [`SubmitError::Full`] instead of waiting out backpressure.
-    ///
-    /// Shares the blocking path's enqueue+append critical section, so
-    /// log order equals apply order across both entry points; a `Full`
-    /// bounce is never logged (recovery must not replay ops the caller
-    /// knows were rejected).
+    /// [`SubmitError::Full`] instead of waiting out backpressure. A
+    /// `Full` bounce is never logged (recovery must not replay ops the
+    /// caller knows were rejected).
     pub fn try_submit(&self, op: Op) -> Result<(), SubmitError> {
-        if !self.register() {
-            return Err(SubmitError::Disconnected(op));
-        }
-        let frame = self.wal.as_ref().map(|_| Wal::frame_op(&op));
-        let mut guard = self.wal.as_ref().map(|wal| recover_poisoned(wal.lock()));
-        match self.tx.try_send(Msg::Op(op)) {
-            Ok(()) => {
-                if let (Some(guard), Some(frame)) = (guard.as_mut(), frame) {
-                    append_logged(guard, &frame);
-                    self.metrics.wal_appends.inc();
-                }
-                Ok(())
-            }
-            Err(e) => {
-                drop(guard);
-                self.state.fetch_sub(1, Ordering::SeqCst);
-                match e {
-                    TrySendError::Full(Msg::Op(op)) => Err(SubmitError::Full(op)),
-                    TrySendError::Disconnected(Msg::Op(op)) => Err(SubmitError::Disconnected(op)),
-                    // rms-analyze: allow(unwrap-nontest, "try_send() above only ever sends Msg::Op; the error returns that value")
-                    _ => unreachable!("handles only send ops"),
-                }
-            }
-        }
+        self.shard_of(&op).try_submit(op)
     }
 
-    /// Subscribes to the service's delta stream: the returned receiver
-    /// carries the current snapshot as its base plus every subsequent
-    /// [`SnapshotDelta`], computed and pushed by the applier at publish
-    /// time. The stream closes on shutdown; registration after shutdown
-    /// yields an already-closed stream.
-    pub fn watch(&self) -> DeltaReceiver {
-        let (tx, rx) = channel();
-        let base = self.register_watcher(Watcher::Full(tx));
-        DeltaReceiver::new(rx, BackendView::Single(base))
-    }
-
-    /// Registers a signal-only watcher (the sharded router funnels every
-    /// shard's publish wake-ups into one channel this way; it diffs
-    /// merged snapshots itself, so it never needs the per-shard deltas)
-    /// and returns the base snapshot current at registration.
-    pub(crate) fn watch_signal(&self, tx: Sender<()>) -> Arc<ResultSnapshot> {
-        self.register_watcher(Watcher::Signal(tx))
-    }
-
-    /// Registers a watcher under the registry lock, so the base snapshot
-    /// and the first notification line up gap-free.
-    fn register_watcher(&self, watcher: Watcher) -> Arc<ResultSnapshot> {
-        let mut watchers = recover_poisoned(self.watchers.lock());
-        let base = self.cell.load();
-        // After shutdown the applier has already dropped every watcher;
-        // registering would leak a never-closing stream. Dropping the
-        // sender instead closes the subscriber's receiver immediately.
-        if self.state.load(Ordering::SeqCst) & CLOSED_BIT == 0 {
-            watchers.push(watcher);
-        }
-        base
-    }
-
-    /// The most recently published snapshot. Never blocks on the applier:
-    /// the call clones an `Arc` out of the publication cell, whose lock
-    /// is held only across pointer swaps.
+    /// The most recently published state. Never blocks on maintenance:
+    /// with one shard the call clones an `Arc` out of the publication
+    /// cell; with several it gathers one `Arc` per shard and returns the
+    /// cached merge, re-merging only after some shard published a new
+    /// epoch.
     pub fn snapshot(&self) -> Arc<ResultSnapshot> {
-        self.cell.load()
+        match &self.merger {
+            None => self.shards[0].snapshot(),
+            Some(merger) => merger.snapshot(&self.shards),
+        }
     }
 
-    /// Operations currently queued (including submitters blocked on
-    /// backpressure). Approximate under concurrency.
+    /// Operations currently queued across all shards (including
+    /// submitters blocked on backpressure). Approximate under
+    /// concurrency.
     pub fn queue_depth(&self) -> usize {
-        self.state.load(Ordering::Relaxed) & COUNT_MASK
+        self.shards.iter().map(ShardHandle::queue_depth).sum()
+    }
+
+    /// Merge-cache counters `(hits, misses)` since start — `Some` only
+    /// with several shards, where a hit means a read was served by the
+    /// cached merge (an `Arc` clone) instead of a re-merge.
+    pub(crate) fn merge_cache_stats(&self) -> Option<(u64, u64)> {
+        self.merger
+            .as_ref()
+            .map(|m| (m.hits.value(), m.misses.value()))
+    }
+
+    /// Subscribes to the delta stream: the returned receiver carries the
+    /// current snapshot as its base plus every subsequent
+    /// [`SnapshotDelta`], gap-free, pushed at publish time. The stream
+    /// closes on shutdown; registration after shutdown yields an
+    /// already-closed stream.
+    ///
+    /// With one shard the applier computes and pushes each delta itself.
+    /// With several, every shard applier funnels its publish signal into
+    /// one channel; a router thread then re-merges through the
+    /// (serialized, cached) merge path and pushes the diff between
+    /// consecutive merged states. Bursts coalesce — a subscriber sees a
+    /// gap-free chain of deltas over merged states, not one delta per
+    /// shard epoch.
+    pub fn watch(&self) -> DeltaReceiver {
+        let Some(merger) = &self.merger else {
+            return self.shards[0].watch();
+        };
+        let (signal_tx, signal_rx) = channel();
+        for shard in self.shards.iter() {
+            // Signal-only registration: the router diffs merged
+            // snapshots itself, so the shard appliers never compute a
+            // per-shard delta on its behalf (and can never double-apply).
+            shard.watch_signal(signal_tx.clone());
+        }
+        drop(signal_tx);
+        // The base merge runs *after* registration: anything published
+        // before it is already in the base, anything after wakes the
+        // router and shows up as a delta.
+        let base = merger.snapshot(&self.shards);
+        let (tx, rx) = channel();
+        let mut prev = Arc::clone(&base);
+        let shards = Arc::clone(&self.shards);
+        let merger = Arc::clone(merger);
+        let router = move || {
+            loop {
+                let closed = signal_rx.recv().is_err();
+                // Coalesce the burst: one merge covers every signal
+                // drained here.
+                while signal_rx.try_recv().is_ok() {}
+                let cur = merger.snapshot(&shards);
+                if cur.epochs != prev.epochs {
+                    if tx.send(cur.delta_from(&prev)).is_err() {
+                        return; // subscriber hung up
+                    }
+                    prev = cur;
+                }
+                if closed {
+                    return; // every shard shut down; final merge done
+                }
+            }
+        };
+        if std::thread::Builder::new()
+            .name("rms-delta-router".into())
+            .spawn(router)
+            .is_err()
+        {
+            // Spawn failure: fall back to an already-closed stream (the
+            // sender side was moved into the failed closure and dropped).
+        }
+        DeltaReceiver::new(rx, base)
     }
 }
 
-/// A running FD-RMS instance behind an ingestion queue.
+/// A running FD-RMS service: `S` id-partitioned [`ServeConfig::shards`]
+/// (default 1), each an engine on its own applier thread behind a
+/// bounded ingestion queue.
 ///
-/// The engine lives on a dedicated applier thread fed by a bounded MPSC
-/// queue. The applier drains whatever is queued (up to
+/// Each applier drains whatever is queued (up to
 /// [`ServeConfig::max_batch`]) into one [`FdRms::apply_batch`] call — so
 /// batch sizes adapt to load, amortising maintenance exactly where the
 /// batch engine makes it cheap — and after every batch publishes an
 /// immutable [`ResultSnapshot`] behind a swapped `Arc`. Any number of
-/// readers call [`RmsService::snapshot`] concurrently without ever
+/// readers call [`RmsHandle::snapshot`] concurrently without ever
 /// blocking ingestion (and vice versa).
 ///
 /// A batch containing an invalid operation is rejected atomically by the
@@ -450,215 +441,106 @@ impl RmsHandle {
 /// acknowledgement, replayed by the next start after an unclean death.
 #[derive(Debug)]
 pub struct RmsService {
+    shards: Vec<Shard>,
     handle: RmsHandle,
-    applier: Option<JoinHandle<FdRms>>,
     registry: Arc<Registry>,
-    dim: usize,
-    k: usize,
-    r: usize,
 }
 
 impl RmsService {
-    /// Builds the engine from `builder` + `initial` (synchronously, so
-    /// configuration errors surface here), publishes the epoch-0
-    /// snapshot, and starts the applier thread. Instruments register
-    /// into a fresh [`Registry::from_env`] (so `KRMS_METRICS_DISABLED`
-    /// is honored); read it back via [`RmsService::registry`].
+    /// Partitions `initial` by `id % S`, builds each shard's engine from
+    /// `builder` (synchronously, so configuration errors surface here),
+    /// publishes the epoch-0 snapshots, and starts the applier threads.
+    /// Instruments register into a fresh [`Registry::from_env`] (so
+    /// `KRMS_METRICS_DISABLED` is honored); read it back via
+    /// [`RmsService::registry`].
     pub fn start(
         builder: FdRmsBuilder,
         initial: Vec<Point>,
         cfg: ServeConfig,
-    ) -> Result<Self, FdRmsError> {
-        let registry = Arc::new(Registry::from_env());
-        Self::start_labeled(builder, initial, cfg, &registry, None)
+    ) -> Result<Self, ServeError> {
+        Self::launch(builder, initial, cfg, None)
     }
 
-    /// [`RmsService::start`] registering into a caller-supplied registry,
-    /// optionally labeling every family `shard="N"` — how a shard group
-    /// aggregates all its members into one exposition.
-    pub(crate) fn start_labeled(
-        builder: FdRmsBuilder,
-        initial: Vec<Point>,
-        cfg: ServeConfig,
-        registry: &Arc<Registry>,
-        shard: Option<usize>,
-    ) -> Result<Self, FdRmsError> {
-        let fd = builder.build(initial)?;
-        let metrics = ServiceMetrics::register(registry, shard);
-        Ok(Self::spawn(
-            fd,
-            cfg,
-            None,
-            ServiceStats::default(),
-            Arc::clone(registry),
-            metrics,
-        ))
-    }
-
-    /// [`RmsService::start`] with crash durability: opens (or creates)
-    /// the write-ahead log at `wal_path`, replays whatever a previous
-    /// unclean death left there — the log's last checkpoint, if any,
-    /// supersedes `initial` as the replay base; ops after it are applied
-    /// one batch at a time with the per-op salvage fallback, and the
-    /// accepted count is published as `wal_recovered_ops` — and only then
-    /// goes live. From then on every acknowledged op is appended to the
-    /// log before its acknowledgement, and a graceful [`RmsService::
-    /// shutdown`] compacts the log to a checkpoint of the final state.
-    ///
-    /// Replay is idempotent over checkpoints: a logged op whose effect is
-    /// already in the checkpoint (the tail race of a graceful shutdown)
-    /// re-applies as a rejection or attribute no-op, never as corruption.
+    /// [`RmsService::start`] with crash durability. One shard logs to
+    /// `wal_path` itself; `S > 1` shards log to `<wal_path>.<i>` and
+    /// record `S` in a `<wal_path>.meta` sidecar, and a start against
+    /// logs written under a different shard count is refused. Each shard
+    /// opens (or creates) its log and replays whatever a previous unclean
+    /// death left there — the log's last checkpoint, if any, supersedes
+    /// `initial` as the replay base; ops after it are applied one batch at
+    /// a time with the per-op salvage fallback, and the accepted count is
+    /// published as `wal_recovered_ops` — and only then goes live. From
+    /// then on every acknowledged op is appended to the log before its
+    /// acknowledgement, and a graceful [`RmsService::shutdown`] compacts
+    /// each log to a checkpoint of the final state.
     ///
     /// **Ordering**: enqueue and append are serialized under the log
     /// mutex (see [`RmsHandle::submit`]), so log order equals apply order
     /// even when different threads race conflicting ops on the same id —
-    /// recovery replays exactly the serialization the live service
-    /// applied, pinned by `tests/wal.rs::
-    /// contended_id_recovery_matches_live_outcome`.
+    /// pinned by `tests/wal.rs::contended_id_recovery_matches_live_outcome`.
     pub fn start_with_wal(
         builder: FdRmsBuilder,
         initial: Vec<Point>,
         cfg: ServeConfig,
         wal_path: &Path,
     ) -> Result<Self, ServeError> {
-        let registry = Arc::new(Registry::from_env());
-        Self::start_with_wal_labeled(builder, initial, cfg, wal_path, &registry, None)
+        Self::launch(builder, initial, cfg, Some(wal_path))
     }
 
-    /// [`RmsService::start_with_wal`] registering into a caller-supplied
-    /// registry, optionally labeled `shard="N"` (see
-    /// [`RmsService::start_labeled`]).
-    pub(crate) fn start_with_wal_labeled(
+    fn launch(
         builder: FdRmsBuilder,
         initial: Vec<Point>,
         cfg: ServeConfig,
-        wal_path: &Path,
-        registry: &Arc<Registry>,
-        shard: Option<usize>,
+        wal_base: Option<&Path>,
     ) -> Result<Self, ServeError> {
-        // A `<path>.meta` sidecar means these logs belong to a sharded
-        // group (`ShardedRmsService` logs to `<path>.<i>`); opening the
-        // bare path would create a fresh empty log and silently ignore
-        // every acknowledged op in the shard logs.
-        let meta = {
-            let mut p = wal_path.as_os_str().to_os_string();
-            p.push(".meta");
-            std::path::PathBuf::from(p)
-        };
-        if meta.exists() {
-            return Err(ServeError::Wal(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "{} belongs to a sharded group (see {}); start a ShardedRmsService \
-                     with the matching shard count, or move the old logs aside",
-                    wal_path.display(),
-                    meta.display()
-                ),
+        let shards = cfg.shards;
+        if shards == 0 {
+            return Err(ServeError::Engine(FdRmsError::InvalidParameter(
+                "shard count must be positive".into(),
             )));
         }
-        let (wal, replay) = Wal::open(wal_path).map_err(ServeError::Wal)?;
-        let base = replay.checkpoint.unwrap_or(initial);
-        let mut fd = builder.build(base)?;
-        let mut stats = ServiceStats::default();
-        for chunk in replay.ops.chunks(cfg.max_batch.max(1)) {
-            match fd.apply_batch_slice(chunk) {
-                Ok(report) => {
-                    stats.rollup.absorb(&report);
-                    stats.wal_recovered_ops += chunk.len() as u64;
-                }
-                Err(_) => {
-                    // Same salvage as live ingestion: one logged-but-bad
-                    // op (or one made redundant by a checkpoint) costs
-                    // only itself.
-                    for op in chunk {
-                        if let Ok(report) = fd.apply_batch_slice(std::slice::from_ref(op)) {
-                            stats.rollup.absorb(&report);
-                            stats.wal_recovered_ops += 1;
-                        }
-                    }
-                }
-            }
-        }
-        let metrics = ServiceMetrics::register(registry, shard);
-        metrics.wal_recovered_ops.add(stats.wal_recovered_ops);
-        metrics.wal_truncated_bytes.add(replay.torn_bytes);
-        Ok(Self::spawn(
-            fd,
-            cfg,
-            Some(Arc::new(Mutex::new(wal))),
-            stats,
-            Arc::clone(registry),
-            metrics,
-        ))
-    }
-
-    fn spawn(
-        fd: FdRms,
-        cfg: ServeConfig,
-        wal: Option<Arc<Mutex<Wal>>>,
-        stats: ServiceStats,
-        registry: Arc<Registry>,
-        metrics: ServiceMetrics,
-    ) -> Self {
-        let dim = fd.dim();
-        let k = fd.k();
-        let r = fd.r();
-        let (tx, rx) = sync_channel(cfg.queue_capacity.max(1));
-        let state = Arc::new(AtomicUsize::new(0));
-        let cell = Arc::new(SnapshotCell::new(make_snapshot(&fd, 0, stats, None)));
-        let watchers: WatcherRegistry = Arc::new(Mutex::new(Vec::new()));
-        // Group commits run on a duplicated descriptor so the applier
-        // never contends with the submitters' enqueue+append mutex; if
-        // duplication fails, syncs fall back to taking that mutex (safe —
-        // submitters never hold it across a blocking wait — just slower).
-        let wal_sync = wal
-            .as_ref()
-            .and_then(|w| recover_poisoned(w.lock()).sync_handle().ok());
-        let applier = {
-            let cell = Arc::clone(&cell);
-            let state = Arc::clone(&state);
-            let wal = wal.clone();
-            let watchers = Arc::clone(&watchers);
-            let metrics = metrics.clone();
-            std::thread::Builder::new()
-                .name("rms-applier".into())
-                .spawn(move || {
-                    applier_loop(
-                        fd,
-                        &rx,
-                        &cell,
-                        &state,
-                        &cfg,
-                        wal.as_ref(),
-                        wal_sync.as_ref(),
-                        &watchers,
-                        stats,
-                        &metrics,
-                    )
-                })
-                // rms-analyze: allow(unwrap-nontest, "thread-spawn failure at service construction is unrecoverable; fail fast")
-                .expect("spawn applier thread")
+        let logs = match wal_base {
+            Some(base) => Some(wal::shard_log_paths(base, shards).map_err(ServeError::Wal)?),
+            None => None,
         };
-        Self {
-            handle: RmsHandle {
-                tx,
-                state,
-                cell,
-                wal,
-                watchers,
-                metrics,
-            },
-            applier: Some(applier),
-            registry,
-            dim,
-            k,
-            r,
+        let mut partitions: Vec<Vec<Point>> = (0..shards).map(|_| Vec::new()).collect();
+        for p in initial {
+            partitions[(p.id() % shards as u64) as usize].push(p);
         }
+        // One registry for the whole service; with several shards every
+        // shard's families carry a `shard="N"` label, so one exposition
+        // covers the group.
+        let registry = Arc::new(Registry::from_env());
+        let mut members = Vec::with_capacity(shards);
+        for (i, part) in partitions.into_iter().enumerate() {
+            let log = logs.as_ref().map(|paths| paths[i].as_path());
+            let label = (shards > 1).then_some(i);
+            members.push(Shard::start(builder, part, cfg, log, &registry, label)?);
+        }
+        if let Some(base) = wal_base {
+            // Recorded only now, with every shard's log open: a failed
+            // startup must not pin a shard count nothing was written
+            // under.
+            wal::record_shard_count(base, shards).map_err(ServeError::Wal)?;
+        }
+        let merger =
+            (shards > 1).then(|| Arc::new(Merger::new(members[0].k, members[0].r, &registry)));
+        let handle = RmsHandle {
+            shards: members.iter().map(|s| s.handle.clone()).collect(),
+            merger,
+        };
+        Ok(Self {
+            shards: members,
+            handle,
+            registry,
+        })
     }
 
-    /// The metrics registry every instrument of this service reports
-    /// into ([`Registry::from_env`]-fresh unless the service was started
-    /// inside a shard group, which shares one registry across shards).
+    /// The metrics registry every subsystem of this service reports
+    /// into: applier and WAL families (labeled `shard="N"` with several
+    /// shards, plus the merge-cache counters), and whatever a front end
+    /// registers (the TCP server adds its connection/request families
+    /// here).
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
     }
@@ -685,397 +567,52 @@ impl RmsService {
 
     /// The configured tuple dimensionality `d`.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.shards[0].dim
     }
 
     /// The configured rank depth `k`.
     pub fn k(&self) -> usize {
-        self.k
+        self.shards[0].k
     }
 
-    /// The configured result size budget `r`.
+    /// The configured result size budget `r` (per shard and for the
+    /// merged result).
     pub fn r(&self) -> usize {
-        self.r
+        self.shards[0].r
     }
 
-    /// Graceful shutdown: the applier drains and applies every
-    /// *acknowledged* operation (every `submit` that returned `Ok`, even
-    /// from senders still blocked on a full queue), publishes a final
-    /// snapshot, compacts the write-ahead log (when configured) to a
-    /// checkpoint of the final state, and hands the engine back (e.g.
-    /// for invariant checks or persistence). Submissions racing the
-    /// start of shutdown either fail with [`SubmitError::Disconnected`]
-    /// or are applied — never acknowledged and dropped.
+    /// The number of shards.
+    pub fn shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Graceful shutdown, one shard after another: each applier drains
+    /// and applies every *acknowledged* operation (every `submit` that
+    /// returned `Ok`, even from senders still blocked on a full queue),
+    /// publishes a final snapshot, and compacts its write-ahead log (when
+    /// configured) to a checkpoint of the final state. Returns the
+    /// engines, indexed by shard (e.g. for invariant checks or
+    /// persistence). Submissions racing the start of shutdown either
+    /// fail with [`SubmitError::Disconnected`] or are applied — never
+    /// acknowledged and dropped.
     ///
-    /// Panics if the applier thread panicked (an engine invariant
+    /// Panics if an applier thread panicked (an engine invariant
     /// failure), propagating that error.
-    pub fn shutdown(mut self) -> FdRms {
-        self.shutdown_inner()
-            // rms-analyze: allow(unwrap-nontest, "shutdown consumes self, so the applier handle is still present")
-            .expect("applier taken only by shutdown")
-            // rms-analyze: allow(unwrap-nontest, "documented: shutdown() propagates an applier panic (engine invariant failure)")
-            .expect("applier thread panicked")
+    pub fn shutdown(self) -> Vec<FdRms> {
+        self.shards.into_iter().map(Shard::shutdown).collect()
     }
 
-    /// Durability-testing hook: stop the service as an unclean kill
-    /// would. The applier exits without draining, without publishing a
+    /// Durability-testing hook: stop every shard as an unclean kill
+    /// would. The appliers exit without draining, without publishing a
     /// final snapshot, and — crucially — **without compacting the
-    /// write-ahead log**; the in-memory engine state is discarded. A
-    /// subsequent [`RmsService::start_with_wal`] on the same log must
+    /// write-ahead logs**; the in-memory engine state is discarded. A
+    /// subsequent [`RmsService::start_with_wal`] on the same logs must
     /// recover every acknowledged op. (A real kill −9 needs no
     /// cooperation; this exists so tests can exercise the recovery path
     /// in-process.)
-    pub fn crash(mut self) {
-        if let Some(applier) = self.applier.take() {
-            self.handle.state.fetch_or(CLOSED_BIT, Ordering::SeqCst);
-            let _ = self.handle.tx.send(Msg::Crash);
-            let _ = applier.join();
+    pub fn crash(self) {
+        for shard in self.shards {
+            shard.crash();
         }
-    }
-
-    fn shutdown_inner(&mut self) -> Option<std::thread::Result<FdRms>> {
-        let applier = self.applier.take()?;
-        // Close the ingestion state word first: any submission that was
-        // not already counted is rejected from here on, so the drain's
-        // count target can only shrink once the marker is seen.
-        self.handle.state.fetch_or(CLOSED_BIT, Ordering::SeqCst);
-        let _ = self.handle.tx.send(Msg::Shutdown);
-        Some(applier.join())
-    }
-}
-
-impl Drop for RmsService {
-    fn drop(&mut self) {
-        // Unlike `shutdown`, a panicked applier is swallowed here: drops
-        // run during unwinding, and a second panic would abort the
-        // process and mask the original error.
-        let _ = self.shutdown_inner();
-    }
-}
-
-fn make_snapshot(fd: &FdRms, epoch: u64, stats: ServiceStats, mrr: Option<f64>) -> ResultSnapshot {
-    ResultSnapshot {
-        epoch,
-        result: fd.result(),
-        len: fd.len(),
-        m: fd.m(),
-        mrr,
-        stats,
-    }
-}
-
-/// Applies one coalesced batch, with the atomic-rejection fallback. The
-/// ops stay borrowed — `apply_batch_slice` clones nothing on the success
-/// path and the fallback can replay from the original. Whether the batch
-/// applies wholesale or is salvaged per-op, it counts as **one** logical
-/// batch in the stats (salvaged batches additionally bump
-/// `replayed_batches`), so `batches` always equals the number of
-/// coalesced batches the applier issued and `avg_apply_ms` stays the
-/// mean wall-clock per coalesced batch.
-fn apply_batch(fd: &mut FdRms, batch: &[Op], stats: &mut ServiceStats, m: &ServiceMetrics) {
-    let n = batch.len();
-    if n == 0 {
-        return;
-    }
-    stats.last_batch_ops = n;
-    stats.max_coalesced = stats.max_coalesced.max(n);
-    m.batch_ops.record_value(n as u64);
-    let t = Instant::now();
-    match fd.apply_batch_slice(batch) {
-        Ok(report) => {
-            stats.rollup.absorb(&report);
-            stats.ops_applied += n as u64;
-            m.ops_applied.add(n as u64);
-        }
-        Err(_) if n == 1 => {
-            stats.ops_rejected += 1;
-            m.ops_rejected.inc();
-        }
-        Err(_) => {
-            // The engine rejects a batch atomically on the first invalid
-            // op; replay individually so one bad op costs only itself.
-            for op in batch {
-                match fd.apply_batch_slice(std::slice::from_ref(op)) {
-                    Ok(report) => {
-                        stats.rollup.absorb(&report);
-                        stats.ops_applied += 1;
-                        m.ops_applied.inc();
-                    }
-                    Err(_) => {
-                        stats.ops_rejected += 1;
-                        m.ops_rejected.inc();
-                    }
-                }
-            }
-            stats.replayed_batches += 1;
-        }
-    }
-    record_apply(stats, &m.apply_seconds, t);
-}
-
-fn record_apply(stats: &mut ServiceStats, apply_seconds: &Histogram, since: Instant) {
-    let elapsed = since.elapsed();
-    apply_seconds.record(elapsed);
-    let ms = elapsed.as_secs_f64() * 1e3;
-    stats.last_apply_ms = ms;
-    stats.total_apply_ms += ms;
-    stats.batches += 1;
-}
-
-/// Appends one pre-framed record, reporting (not propagating) IO
-/// failures: the op is already enqueued, so the submission proceeds; it
-/// merely loses durability.
-fn append_logged(wal: &mut Wal, frame: &[u8]) {
-    if let Err(e) = wal.append_frame(frame) {
-        eprintln!("rms-serve: WAL append failed ({e}); op applied without durability");
-    }
-}
-
-/// Group commit: one `fdatasync` per coalesced batch, preferring the
-/// duplicated descriptor (no mutex) and falling back to locking the log.
-fn group_commit(
-    wal: Option<&Arc<Mutex<Wal>>>,
-    sync: Option<&WalSyncHandle>,
-    fsync_seconds: &Histogram,
-) {
-    let t = Instant::now();
-    let result = match (sync, wal) {
-        (Some(sync), _) => sync.sync(),
-        (None, Some(wal)) => recover_poisoned(wal.lock()).sync(),
-        (None, None) => return,
-    };
-    fsync_seconds.record(t.elapsed());
-    if let Err(e) = result {
-        eprintln!("rms-serve: WAL fsync failed: {e}");
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn applier_loop(
-    fd: FdRms,
-    rx: &Receiver<Msg>,
-    cell: &SnapshotCell,
-    state: &AtomicUsize,
-    cfg: &ServeConfig,
-    wal: Option<&Arc<Mutex<Wal>>>,
-    wal_sync: Option<&WalSyncHandle>,
-    watchers: &WatcherRegistry,
-    stats: ServiceStats,
-    metrics: &ServiceMetrics,
-) -> FdRms {
-    let fd = applier_inner(
-        fd, rx, cell, state, cfg, wal, wal_sync, watchers, stats, metrics,
-    );
-    // Dropping the senders closes every subscriber's delta stream; the
-    // closed ingestion bit (set before any exit path reaches here, or
-    // implied by every handle being gone) keeps late registrations
-    // from registering into the cleared registry.
-    recover_poisoned(watchers.lock()).clear();
-    fd
-}
-
-#[allow(clippy::too_many_arguments)]
-fn applier_inner(
-    mut fd: FdRms,
-    rx: &Receiver<Msg>,
-    cell: &SnapshotCell,
-    state: &AtomicUsize,
-    cfg: &ServeConfig,
-    wal: Option<&Arc<Mutex<Wal>>>,
-    wal_sync: Option<&WalSyncHandle>,
-    watchers: &WatcherRegistry,
-    mut stats: ServiceStats,
-    metrics: &ServiceMetrics,
-) -> FdRms {
-    let max_batch = cfg.max_batch.max(1);
-    let estimator = (cfg.mrr_directions > 0)
-        .then(|| RegretEstimator::new(fd.dim(), cfg.mrr_directions.max(fd.dim()), cfg.mrr_seed));
-    let mrr_every = cfg.mrr_every.max(1);
-    let mut epoch = 0u64;
-    let mut last_mrr = None;
-    // The previously published snapshot, kept for publish-time delta
-    // computation (watchers receive the diff, not the whole solution).
-    let mut prev = cell.load();
-    loop {
-        // Block for the first message, then coalesce whatever else is
-        // already queued — the adaptive batch: size 1 under light load
-        // (the engine routes it to the classic per-op path), up to
-        // `max_batch` under sustained pressure.
-        let mut shutting_down = false;
-        let mut ops: Vec<Op> = Vec::new();
-        match rx.recv() {
-            Ok(Msg::Op(op)) => {
-                state.fetch_sub(1, Ordering::SeqCst);
-                ops.push(op);
-            }
-            Ok(Msg::Shutdown) => shutting_down = true,
-            // The simulated unclean kill: no drain, no final snapshot,
-            // no WAL compaction.
-            Ok(Msg::Crash) => return fd,
-            // Every sender (service + all handles) dropped.
-            Err(_) => break,
-        }
-        while ops.len() < max_batch && !shutting_down {
-            match rx.try_recv() {
-                Ok(Msg::Op(op)) => {
-                    state.fetch_sub(1, Ordering::SeqCst);
-                    ops.push(op);
-                }
-                Ok(Msg::Shutdown) => shutting_down = true,
-                Ok(Msg::Crash) => return fd,
-                Err(_) => break,
-            }
-        }
-        if shutting_down {
-            // Drain until the submission count reaches zero, not just
-            // until the channel reads empty: every acknowledged op was
-            // counted *atomically with* observing the state word open
-            // (see `CLOSED_BIT`), and the closed bit was set before the
-            // shutdown marker was sent — so any count this loop still
-            // sees is an op that will arrive (possibly from a sender
-            // blocked on a full queue), and no new counts can appear.
-            loop {
-                match rx.try_recv() {
-                    Ok(Msg::Op(op)) => {
-                        state.fetch_sub(1, Ordering::SeqCst);
-                        ops.push(op);
-                    }
-                    Ok(Msg::Shutdown) => {}
-                    Ok(Msg::Crash) => return fd,
-                    Err(_) => {
-                        if state.load(Ordering::SeqCst) & COUNT_MASK == 0 {
-                            break;
-                        }
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        }
-        for chunk in ops.chunks(max_batch) {
-            apply_batch(&mut fd, chunk, &mut stats, metrics);
-            // Group commit: the submitters' appends for this batch (and
-            // possibly later ones — strictly more durability) reach
-            // stable storage with one fdatasync per coalesced batch.
-            if cfg.wal_fsync {
-                group_commit(wal, wal_sync, &metrics.wal_fsync_seconds);
-            }
-        }
-        if !ops.is_empty() || shutting_down {
-            epoch += 1;
-            if let Some(est) = &estimator {
-                if epoch % mrr_every == 0 || shutting_down {
-                    let live = fd.live_points();
-                    last_mrr = Some(est.mrr(&live, &fd.result(), fd.k()));
-                }
-            }
-            stats.queue_depth = state.load(Ordering::Relaxed) & COUNT_MASK;
-            metrics.queue_depth.set(stats.queue_depth as i64);
-            let publish_start = Instant::now();
-            let snap = Arc::new(make_snapshot(&fd, epoch, stats, last_mrr));
-            // The cell swap and the delta broadcast happen under the
-            // registry lock, atomically with any concurrent watcher
-            // registration — so every subscriber's base snapshot meets
-            // its first delta gap-free.
-            let mut registry = recover_poisoned(watchers.lock());
-            cell.store(Arc::clone(&snap));
-            if !registry.is_empty() {
-                // The O(r) diff + clone runs only when someone actually
-                // consumes deltas; signal-only watchers (the sharded
-                // router) cost one unit send.
-                let delta = registry
-                    .iter()
-                    .any(|w| matches!(w, Watcher::Full(_)))
-                    .then(|| snap.delta_from(&prev));
-                registry.retain(|watcher| match (watcher, &delta) {
-                    // Watcher channels are unbounded, so these sends
-                    // under the registry lock never block — and since
-                    // PR 9 rms-analyze's channel classification knows
-                    // it, so no pragma is needed here.
-                    (Watcher::Full(tx), Some(delta)) => tx.send(delta.clone()).is_ok(),
-                    // Unreachable (the delta is computed whenever a Full
-                    // watcher exists); dropping the watcher beats
-                    // panicking the applier.
-                    (Watcher::Full(_), None) => false,
-                    (Watcher::Signal(tx), _) => tx.send(()).is_ok(),
-                });
-            }
-            drop(registry);
-            metrics.publish_seconds.record(publish_start.elapsed());
-            metrics.publishes.inc();
-            prev = snap;
-        }
-        if shutting_down {
-            break;
-        }
-    }
-    // Graceful exit: compact the log to a checkpoint of the final state,
-    // bounding its size and making the next start replay-free. (IO
-    // failure leaves the op log intact — recovery still works, the log
-    // is merely uncompacted.)
-    if let Some(wal) = wal {
-        let mut wal = recover_poisoned(wal.lock());
-        if let Err(e) = wal.checkpoint(&fd.live_points()) {
-            eprintln!("rms-serve: WAL compaction failed: {e}");
-        }
-    }
-    fd
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// An atomically-rejected N-op batch used to bump `batches` N+1 times
-    /// (the failed attempt plus one per replayed op), deflating
-    /// `avg_apply_ms` and disagreeing with the coalescing counters. The
-    /// whole salvage is one logical batch, tallied in `replayed_batches`.
-    #[test]
-    fn rejected_batch_counts_as_one_logical_batch() {
-        let initial: Vec<Point> = (0..20)
-            .map(|i| Point::new_unchecked(i, vec![(i as f64) / 20.0, 1.0 - (i as f64) / 20.0]))
-            .collect();
-        let mut fd = FdRms::builder(2)
-            .r(3)
-            .max_utilities(64)
-            .build(initial)
-            .unwrap();
-        let mut stats = ServiceStats::default();
-        let metrics = ServiceMetrics::register(&Registry::new(), None);
-
-        // 4 ops, one invalid (duplicate insert): atomic rejection, per-op
-        // replay salvages 3.
-        let batch = vec![
-            Op::Insert(Point::new_unchecked(100, vec![0.9, 0.8])),
-            Op::Insert(Point::new_unchecked(0, vec![0.1, 0.2])), // id 0 is live
-            Op::Delete(1),
-            Op::Update(Point::new_unchecked(2, vec![0.5, 0.6])),
-        ];
-        apply_batch(&mut fd, &batch, &mut stats, &metrics);
-        assert_eq!(stats.batches, 1, "salvage is one logical batch");
-        assert_eq!(stats.replayed_batches, 1);
-        assert_eq!(stats.ops_applied, 3);
-        assert_eq!(stats.ops_rejected, 1);
-        assert_eq!(stats.last_batch_ops, 4);
-
-        // A clean batch keeps agreeing with the coalescing counters.
-        apply_batch(
-            &mut fd,
-            &[Op::Insert(Point::new_unchecked(101, vec![0.7, 0.7]))],
-            &mut stats,
-            &metrics,
-        );
-        assert_eq!(stats.batches, 2);
-        assert_eq!(stats.replayed_batches, 1);
-        assert_eq!(stats.ops_applied, 4);
-        assert!(stats.avg_apply_ms() > 0.0);
-        // The registry counters mirror the stats, including through the
-        // per-op salvage path, and the batch-size histogram saw both
-        // coalesced sizes.
-        assert_eq!(metrics.ops_applied.value(), 4);
-        assert_eq!(metrics.ops_rejected.value(), 1);
-        assert_eq!(metrics.batch_ops.count(), 2);
-        assert_eq!(metrics.batch_ops.sum_ns(), 5);
-        assert_eq!(metrics.apply_seconds.count(), 2);
-        fd.check_invariants().unwrap();
     }
 }

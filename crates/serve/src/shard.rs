@@ -1,0 +1,856 @@
+//! One shard of a service: a dedicated applier thread over a bounded op
+//! queue, publishing immutable snapshots after every coalesced batch,
+//! with an optional write-ahead log for crash durability.
+
+use crate::service::{DeltaReceiver, ServeConfig, ServeError, SubmitError};
+use crate::snapshot::{ResultSnapshot, ServiceStats, SnapshotCell, SnapshotDelta};
+use crate::sync::recover_poisoned;
+use crate::wal::{Wal, WalSyncHandle};
+use fdrms::{FdRms, FdRmsBuilder, Op};
+use rms_eval::RegretEstimator;
+use rms_geom::Point;
+use rms_metrics::{Counter, Gauge, Histogram, Registry};
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// One registered subscriber of the publish stream. The multi-shard
+/// delta router only needs to be *woken* per publish (it re-merges and
+/// diffs merged states itself), so it registers as `Signal` and the
+/// applier skips computing — let alone cloning — a delta for it.
+#[derive(Debug)]
+pub(crate) enum Watcher {
+    /// Receives the full [`SnapshotDelta`] computed at publish time.
+    Full(Sender<SnapshotDelta>),
+    /// Receives a unit wake-up per publish.
+    Signal(Sender<()>),
+}
+
+/// The watcher registry shared by handles (which register) and the
+/// applier (which broadcasts per publish and prunes dead watchers).
+/// Registration reads the snapshot cell *under this lock*, and the
+/// applier swaps the cell and broadcasts under it too, so a watcher's
+/// base snapshot and its first delta always line up gap-free.
+type WatcherRegistry = Arc<Mutex<Vec<Watcher>>>;
+
+/// Instrument handles for one shard, registered once at start against
+/// the service's [`Registry`] (with a `shard="N"` label when the service
+/// has several shards) and cloned wherever the hot paths run: the
+/// applier thread owns the batch/publish instruments, client handles
+/// carry the WAL append counter.
+#[derive(Debug, Clone)]
+pub(crate) struct ServiceMetrics {
+    /// `rms_applier_queue_depth` — refreshed at every publish.
+    queue_depth: Gauge,
+    /// `rms_applier_batch_ops` — coalesced ops per `apply_batch` call.
+    batch_ops: Histogram,
+    /// `rms_applier_apply_seconds` — wall clock per coalesced batch.
+    apply_seconds: Histogram,
+    /// `rms_applier_publish_seconds` — snapshot build + delta fan-out.
+    publish_seconds: Histogram,
+    /// `rms_applier_snapshot_publishes_total`.
+    publishes: Counter,
+    /// `rms_applier_ops_applied_total`.
+    ops_applied: Counter,
+    /// `rms_applier_ops_rejected_total`.
+    ops_rejected: Counter,
+    /// `rms_wal_appends_total` — op frames appended by submitters.
+    wal_appends: Counter,
+    /// `rms_wal_fsync_seconds` — its `_count` is the fsync count.
+    wal_fsync_seconds: Histogram,
+    /// `rms_wal_recovered_ops_total` — ops accepted during replay.
+    wal_recovered_ops: Counter,
+    /// `rms_wal_truncated_tail_bytes_total` — torn bytes dropped at open.
+    wal_truncated_bytes: Counter,
+}
+
+impl ServiceMetrics {
+    /// Registers the applier/WAL families, labeled `shard="N"` when the
+    /// service has several shards (every shard shares one registry, so
+    /// the families gain one series per shard).
+    pub(crate) fn register(registry: &Registry, shard: Option<usize>) -> Self {
+        let shard_value = shard.map(|i| i.to_string());
+        let labels: Vec<(&str, &str)> = shard_value.iter().map(|v| ("shard", v.as_str())).collect();
+        let l = labels.as_slice();
+        ServiceMetrics {
+            queue_depth: registry.register_gauge(
+                "rms_applier_queue_depth",
+                "Operations queued behind the applier (sampled at publish).",
+                l,
+            ),
+            batch_ops: registry.register_histogram_values(
+                "rms_applier_batch_ops",
+                "Operations coalesced into one apply_batch call.",
+                l,
+            ),
+            apply_seconds: registry.register_histogram(
+                "rms_applier_apply_seconds",
+                "Wall-clock latency of one coalesced batch apply.",
+                l,
+            ),
+            publish_seconds: registry.register_histogram(
+                "rms_applier_publish_seconds",
+                "Wall-clock latency of one snapshot publish (build plus delta fan-out).",
+                l,
+            ),
+            publishes: registry.register_counter(
+                "rms_applier_snapshot_publishes_total",
+                "Snapshots published by the applier.",
+                l,
+            ),
+            ops_applied: registry.register_counter(
+                "rms_applier_ops_applied_total",
+                "Operations the engine accepted.",
+                l,
+            ),
+            ops_rejected: registry.register_counter(
+                "rms_applier_ops_rejected_total",
+                "Operations validation rejected.",
+                l,
+            ),
+            wal_appends: registry.register_counter(
+                "rms_wal_appends_total",
+                "Op frames appended to the write-ahead log.",
+                l,
+            ),
+            wal_fsync_seconds: registry.register_histogram(
+                "rms_wal_fsync_seconds",
+                "Write-ahead log group-commit fsync latency.",
+                l,
+            ),
+            wal_recovered_ops: registry.register_counter(
+                "rms_wal_recovered_ops_total",
+                "Logged operations accepted during crash replay.",
+                l,
+            ),
+            wal_truncated_bytes: registry.register_counter(
+                "rms_wal_truncated_tail_bytes_total",
+                "Torn-tail bytes truncated from the write-ahead log at open.",
+                l,
+            ),
+        }
+    }
+}
+
+enum Msg {
+    Op(Op),
+    Shutdown,
+    /// Durability-testing hook: stop the applier *immediately* — no
+    /// drain, no final snapshot, no WAL compaction — as an unclean kill
+    /// would. See [`Shard::crash`].
+    Crash,
+}
+
+/// High bit of the ingestion state word: set when shutdown begins. The
+/// low bits count acknowledged-but-undrained submissions, so checking
+/// "still accepting" and registering a submission is one atomic RMW —
+/// a submission either observes the closed bit (and is rejected before
+/// acknowledgement) or its count is visible to the shutdown drain, which
+/// runs until the count reaches zero. No interleaving can acknowledge an
+/// op and then drop it.
+const CLOSED_BIT: usize = 1 << (usize::BITS - 1);
+const COUNT_MASK: usize = CLOSED_BIT - 1;
+
+// The state word carries the accept/drain handshake above, so its RMWs
+// and the loads that pair with them are SeqCst; the two monitoring-only
+// reads (queue-depth gauges) are Relaxed on purpose.
+// rms-analyze: atomic-policy(state: SeqCst|Relaxed)
+
+/// A cheap, cloneable client of one running [`Shard`]: submit
+/// operations (blocking or not) and read published snapshots. Handles
+/// outlive the shard gracefully — submissions after shutdown return
+/// [`SubmitError::Disconnected`], snapshot reads keep returning the last
+/// published state.
+#[derive(Debug, Clone)]
+pub(crate) struct ShardHandle {
+    tx: SyncSender<Msg>,
+    state: Arc<AtomicUsize>,
+    cell: Arc<SnapshotCell>,
+    wal: Option<Arc<Mutex<Wal>>>,
+    watchers: WatcherRegistry,
+    metrics: ServiceMetrics,
+}
+
+impl ShardHandle {
+    /// Registers one pending submission unless shutdown has begun.
+    fn register(&self) -> bool {
+        let prev = self.state.fetch_add(1, Ordering::SeqCst);
+        if prev & CLOSED_BIT != 0 {
+            self.state.fetch_sub(1, Ordering::SeqCst);
+            return false;
+        }
+        true
+    }
+
+    /// Enqueues one operation, blocking while the queue is full
+    /// (backpressure). `Ok` means the operation *will* be applied — a
+    /// graceful shutdown drains every acknowledged op — and on a
+    /// WAL-backed service that the op is on the log before this returns.
+    ///
+    /// **WAL ordering**: the enqueue and the log append happen atomically
+    /// under the log mutex (a try-send loop, so the mutex is never held
+    /// across a blocking wait), which makes log order equal queue order —
+    /// the order the applier applies ops in — even when different threads
+    /// race conflicting ops on the same id. Recovery therefore replays
+    /// exactly the serialization the live service applied. The applier's
+    /// group-commit fsync runs on a duplicated descriptor and never takes
+    /// this mutex, so submitters cannot deadlock against it; the append
+    /// lands after the enqueue, so an op's own batch commit can race its
+    /// record — an acknowledged op is fsync-durable no later than the
+    /// batch commit *after* its acknowledgement.
+    ///
+    /// The application itself is asynchronous; a later
+    /// [`ShardHandle::snapshot`] whose stats show it absorbed reflects it.
+    pub(crate) fn submit(&self, op: Op) -> Result<(), SubmitError> {
+        if !self.register() {
+            return Err(SubmitError::Disconnected(op));
+        }
+        let Some(wal) = &self.wal else {
+            return match self.tx.send(Msg::Op(op)) {
+                Ok(()) => Ok(()),
+                Err(e) => {
+                    self.state.fetch_sub(1, Ordering::SeqCst);
+                    let Msg::Op(op) = e.0 else {
+                        // rms-analyze: allow(unwrap-nontest, "send() above only ever sends Msg::Op; the error returns that value")
+                        unreachable!("handles only send ops")
+                    };
+                    Err(SubmitError::Disconnected(op))
+                }
+            };
+        };
+        // The op is framed once, outside the lock; the loop backs off
+        // outside the lock too, so the critical section is only the
+        // non-blocking try-send plus the append.
+        let frame = Wal::frame_op(&op);
+        let mut msg = Msg::Op(op);
+        loop {
+            let mut guard = recover_poisoned(wal.lock());
+            match self.tx.try_send(msg) {
+                Ok(()) => {
+                    append_logged(&mut guard, &frame);
+                    self.metrics.wal_appends.inc();
+                    return Ok(());
+                }
+                Err(TrySendError::Disconnected(m)) => {
+                    drop(guard);
+                    self.state.fetch_sub(1, Ordering::SeqCst);
+                    let Msg::Op(op) = m else {
+                        // rms-analyze: allow(unwrap-nontest, "try_send() above only ever sends Msg::Op; the error returns that value")
+                        unreachable!("handles only send ops")
+                    };
+                    return Err(SubmitError::Disconnected(op));
+                }
+                Err(TrySendError::Full(m)) => {
+                    drop(guard);
+                    msg = m;
+                    // Backpressure: the queue drains at applier-batch
+                    // cadence (milliseconds), so a sub-millisecond poll
+                    // wastes neither latency nor CPU.
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+            }
+        }
+    }
+
+    /// Non-blocking [`ShardHandle::submit`]: fails fast with
+    /// [`SubmitError::Full`] instead of waiting out backpressure.
+    ///
+    /// Shares the blocking path's enqueue+append critical section, so
+    /// log order equals apply order across both entry points; a `Full`
+    /// bounce is never logged (recovery must not replay ops the caller
+    /// knows were rejected).
+    pub(crate) fn try_submit(&self, op: Op) -> Result<(), SubmitError> {
+        if !self.register() {
+            return Err(SubmitError::Disconnected(op));
+        }
+        let frame = self.wal.as_ref().map(|_| Wal::frame_op(&op));
+        let mut guard = self.wal.as_ref().map(|wal| recover_poisoned(wal.lock()));
+        match self.tx.try_send(Msg::Op(op)) {
+            Ok(()) => {
+                if let (Some(guard), Some(frame)) = (guard.as_mut(), frame) {
+                    append_logged(guard, &frame);
+                    self.metrics.wal_appends.inc();
+                }
+                Ok(())
+            }
+            Err(e) => {
+                drop(guard);
+                self.state.fetch_sub(1, Ordering::SeqCst);
+                match e {
+                    TrySendError::Full(Msg::Op(op)) => Err(SubmitError::Full(op)),
+                    TrySendError::Disconnected(Msg::Op(op)) => Err(SubmitError::Disconnected(op)),
+                    // rms-analyze: allow(unwrap-nontest, "try_send() above only ever sends Msg::Op; the error returns that value")
+                    _ => unreachable!("handles only send ops"),
+                }
+            }
+        }
+    }
+
+    /// Subscribes to the shard's delta stream: the returned receiver
+    /// carries the current snapshot as its base plus every subsequent
+    /// [`SnapshotDelta`], computed and pushed by the applier at publish
+    /// time. The stream closes on shutdown; registration after shutdown
+    /// yields an already-closed stream.
+    pub(crate) fn watch(&self) -> DeltaReceiver {
+        let (tx, rx) = channel();
+        let base = self.register_watcher(Watcher::Full(tx));
+        DeltaReceiver::new(rx, base)
+    }
+
+    /// Registers a signal-only watcher (the multi-shard router funnels
+    /// every shard's publish wake-ups into one channel this way; it diffs
+    /// merged snapshots itself, so it never needs the per-shard deltas).
+    pub(crate) fn watch_signal(&self, tx: Sender<()>) {
+        self.register_watcher(Watcher::Signal(tx));
+    }
+
+    /// Registers a watcher under the registry lock, so the base snapshot
+    /// and the first notification line up gap-free.
+    fn register_watcher(&self, watcher: Watcher) -> Arc<ResultSnapshot> {
+        let mut watchers = recover_poisoned(self.watchers.lock());
+        let base = self.cell.load();
+        // After shutdown the applier has already dropped every watcher;
+        // registering would leak a never-closing stream. Dropping the
+        // sender instead closes the subscriber's receiver immediately.
+        if self.state.load(Ordering::SeqCst) & CLOSED_BIT == 0 {
+            watchers.push(watcher);
+        }
+        base
+    }
+
+    /// The most recently published snapshot. Never blocks on the applier:
+    /// the call clones an `Arc` out of the publication cell, whose lock
+    /// is held only across pointer swaps.
+    pub(crate) fn snapshot(&self) -> Arc<ResultSnapshot> {
+        self.cell.load()
+    }
+
+    /// Operations currently queued (including submitters blocked on
+    /// backpressure). Approximate under concurrency.
+    pub(crate) fn queue_depth(&self) -> usize {
+        self.state.load(Ordering::Relaxed) & COUNT_MASK
+    }
+}
+
+/// One FD-RMS engine on its own applier thread behind a bounded
+/// ingestion queue, publishing a [`ResultSnapshot`] after every
+/// coalesced batch (optionally behind a [write-ahead log](crate::wal)):
+/// the unit an [`RmsService`](crate::RmsService) runs one of per shard.
+/// The service-level docs describe the batching, salvage and durability
+/// contract this type implements.
+#[derive(Debug)]
+pub(crate) struct Shard {
+    pub(crate) handle: ShardHandle,
+    applier: Option<JoinHandle<FdRms>>,
+    pub(crate) dim: usize,
+    pub(crate) k: usize,
+    pub(crate) r: usize,
+}
+
+impl Shard {
+    /// Builds the engine from `builder` + `initial` (synchronously, so
+    /// configuration errors surface here), publishes the epoch-0
+    /// snapshot, and starts the applier thread; instruments register
+    /// into `registry`, labeled `shard="N"` when `label` is set.
+    ///
+    /// With a `wal` path the shard first opens (or creates) the log and
+    /// replays whatever a previous unclean death left there — the log's
+    /// last checkpoint, if any, supersedes `initial` as the replay base;
+    /// ops after it are applied one batch at a time with the per-op
+    /// salvage fallback, and the accepted count is published as
+    /// `wal_recovered_ops` — and only then goes live. Replay is
+    /// idempotent over checkpoints: a logged op whose effect is already
+    /// in the checkpoint (the tail race of a graceful shutdown)
+    /// re-applies as a rejection or attribute no-op, never as corruption.
+    pub(crate) fn start(
+        builder: FdRmsBuilder,
+        initial: Vec<Point>,
+        cfg: ServeConfig,
+        wal_path: Option<&Path>,
+        registry: &Registry,
+        label: Option<usize>,
+    ) -> Result<Self, ServeError> {
+        let Some(wal_path) = wal_path else {
+            let fd = builder.build(initial)?;
+            let metrics = ServiceMetrics::register(registry, label);
+            return Ok(Self::spawn(fd, cfg, None, ServiceStats::default(), metrics));
+        };
+        let (wal, replay) = Wal::open(wal_path).map_err(ServeError::Wal)?;
+        let base = replay.checkpoint.unwrap_or(initial);
+        let mut fd = builder.build(base)?;
+        let mut stats = ServiceStats::default();
+        for chunk in replay.ops.chunks(cfg.max_batch.max(1)) {
+            match fd.apply_batch_slice(chunk) {
+                Ok(report) => {
+                    stats.rollup.absorb(&report);
+                    stats.wal_recovered_ops += chunk.len() as u64;
+                }
+                Err(_) => {
+                    // Same salvage as live ingestion: one logged-but-bad
+                    // op (or one made redundant by a checkpoint) costs
+                    // only itself.
+                    for op in chunk {
+                        if let Ok(report) = fd.apply_batch_slice(std::slice::from_ref(op)) {
+                            stats.rollup.absorb(&report);
+                            stats.wal_recovered_ops += 1;
+                        }
+                    }
+                }
+            }
+        }
+        let metrics = ServiceMetrics::register(registry, label);
+        metrics.wal_recovered_ops.add(stats.wal_recovered_ops);
+        metrics.wal_truncated_bytes.add(replay.torn_bytes);
+        Ok(Self::spawn(
+            fd,
+            cfg,
+            Some(Arc::new(Mutex::new(wal))),
+            stats,
+            metrics,
+        ))
+    }
+
+    fn spawn(
+        fd: FdRms,
+        cfg: ServeConfig,
+        wal: Option<Arc<Mutex<Wal>>>,
+        stats: ServiceStats,
+        metrics: ServiceMetrics,
+    ) -> Self {
+        let dim = fd.dim();
+        let k = fd.k();
+        let r = fd.r();
+        let (tx, rx) = sync_channel(cfg.queue_capacity.max(1));
+        let state = Arc::new(AtomicUsize::new(0));
+        let cell = Arc::new(SnapshotCell::new(make_snapshot(&fd, 0, stats, None)));
+        let watchers: WatcherRegistry = Arc::new(Mutex::new(Vec::new()));
+        // Group commits run on a duplicated descriptor so the applier
+        // never contends with the submitters' enqueue+append mutex; if
+        // duplication fails, syncs fall back to taking that mutex (safe —
+        // submitters never hold it across a blocking wait — just slower).
+        let wal_sync = wal
+            .as_ref()
+            .and_then(|w| recover_poisoned(w.lock()).sync_handle().ok());
+        let applier = {
+            let cell = Arc::clone(&cell);
+            let state = Arc::clone(&state);
+            let wal = wal.clone();
+            let watchers = Arc::clone(&watchers);
+            let metrics = metrics.clone();
+            std::thread::Builder::new()
+                .name("rms-applier".into())
+                .spawn(move || {
+                    applier_loop(
+                        fd,
+                        &rx,
+                        &cell,
+                        &state,
+                        &cfg,
+                        wal.as_ref(),
+                        wal_sync.as_ref(),
+                        &watchers,
+                        stats,
+                        &metrics,
+                    )
+                })
+                // rms-analyze: allow(unwrap-nontest, "thread-spawn failure at service construction is unrecoverable; fail fast")
+                .expect("spawn applier thread")
+        };
+        Self {
+            handle: ShardHandle {
+                tx,
+                state,
+                cell,
+                wal,
+                watchers,
+                metrics,
+            },
+            applier: Some(applier),
+            dim,
+            k,
+            r,
+        }
+    }
+
+    /// Graceful shutdown: the applier drains and applies every
+    /// *acknowledged* operation (every `submit` that returned `Ok`, even
+    /// from senders still blocked on a full queue), publishes a final
+    /// snapshot, compacts the write-ahead log (when configured) to a
+    /// checkpoint of the final state, and hands the engine back (e.g.
+    /// for invariant checks or persistence). Submissions racing the
+    /// start of shutdown either fail with [`SubmitError::Disconnected`]
+    /// or are applied — never acknowledged and dropped.
+    ///
+    /// Panics if the applier thread panicked (an engine invariant
+    /// failure), propagating that error.
+    pub(crate) fn shutdown(mut self) -> FdRms {
+        self.shutdown_inner()
+            // rms-analyze: allow(unwrap-nontest, "shutdown consumes self, so the applier handle is still present")
+            .expect("applier taken only by shutdown")
+            // rms-analyze: allow(unwrap-nontest, "documented: shutdown() propagates an applier panic (engine invariant failure)")
+            .expect("applier thread panicked")
+    }
+
+    /// Durability-testing hook: stop the shard as an unclean kill
+    /// would. The applier exits without draining, without publishing a
+    /// final snapshot, and — crucially — **without compacting the
+    /// write-ahead log**; the in-memory engine state is discarded. A
+    /// subsequent start on the same log must recover every acknowledged
+    /// op.
+    pub(crate) fn crash(mut self) {
+        if let Some(applier) = self.applier.take() {
+            self.handle.state.fetch_or(CLOSED_BIT, Ordering::SeqCst);
+            let _ = self.handle.tx.send(Msg::Crash);
+            let _ = applier.join();
+        }
+    }
+
+    fn shutdown_inner(&mut self) -> Option<std::thread::Result<FdRms>> {
+        let applier = self.applier.take()?;
+        // Close the ingestion state word first: any submission that was
+        // not already counted is rejected from here on, so the drain's
+        // count target can only shrink once the marker is seen.
+        self.handle.state.fetch_or(CLOSED_BIT, Ordering::SeqCst);
+        let _ = self.handle.tx.send(Msg::Shutdown);
+        Some(applier.join())
+    }
+}
+
+impl Drop for Shard {
+    fn drop(&mut self) {
+        // Unlike `shutdown`, a panicked applier is swallowed here: drops
+        // run during unwinding, and a second panic would abort the
+        // process and mask the original error.
+        let _ = self.shutdown_inner();
+    }
+}
+
+fn make_snapshot(fd: &FdRms, epoch: u64, stats: ServiceStats, mrr: Option<f64>) -> ResultSnapshot {
+    ResultSnapshot {
+        epochs: vec![epoch],
+        result: fd.result(),
+        len: fd.len(),
+        m: fd.m(),
+        mrr,
+        stats,
+    }
+}
+
+/// Applies one coalesced batch, with the atomic-rejection fallback. The
+/// ops stay borrowed — `apply_batch_slice` clones nothing on the success
+/// path and the fallback can replay from the original. Whether the batch
+/// applies wholesale or is salvaged per-op, it counts as **one** logical
+/// batch in the stats (salvaged batches additionally bump
+/// `replayed_batches`), so `batches` always equals the number of
+/// coalesced batches the applier issued and `avg_apply_ms` stays the
+/// mean wall-clock per coalesced batch.
+fn apply_batch(fd: &mut FdRms, batch: &[Op], stats: &mut ServiceStats, m: &ServiceMetrics) {
+    let n = batch.len();
+    if n == 0 {
+        return;
+    }
+    stats.last_batch_ops = n;
+    stats.max_coalesced = stats.max_coalesced.max(n);
+    m.batch_ops.record_value(n as u64);
+    let t = Instant::now();
+    match fd.apply_batch_slice(batch) {
+        Ok(report) => {
+            stats.rollup.absorb(&report);
+            stats.ops_applied += n as u64;
+            m.ops_applied.add(n as u64);
+        }
+        Err(_) if n == 1 => {
+            stats.ops_rejected += 1;
+            m.ops_rejected.inc();
+        }
+        Err(_) => {
+            // The engine rejects a batch atomically on the first invalid
+            // op; replay individually so one bad op costs only itself.
+            for op in batch {
+                match fd.apply_batch_slice(std::slice::from_ref(op)) {
+                    Ok(report) => {
+                        stats.rollup.absorb(&report);
+                        stats.ops_applied += 1;
+                        m.ops_applied.inc();
+                    }
+                    Err(_) => {
+                        stats.ops_rejected += 1;
+                        m.ops_rejected.inc();
+                    }
+                }
+            }
+            stats.replayed_batches += 1;
+        }
+    }
+    record_apply(stats, &m.apply_seconds, t);
+}
+
+fn record_apply(stats: &mut ServiceStats, apply_seconds: &Histogram, since: Instant) {
+    let elapsed = since.elapsed();
+    apply_seconds.record(elapsed);
+    let ms = elapsed.as_secs_f64() * 1e3;
+    stats.last_apply_ms = ms;
+    stats.total_apply_ms += ms;
+    stats.batches += 1;
+}
+
+/// Appends one pre-framed record, reporting (not propagating) IO
+/// failures: the op is already enqueued, so the submission proceeds; it
+/// merely loses durability.
+fn append_logged(wal: &mut Wal, frame: &[u8]) {
+    if let Err(e) = wal.append_frame(frame) {
+        eprintln!("rms-serve: WAL append failed ({e}); op applied without durability");
+    }
+}
+
+/// Group commit: one `fdatasync` per coalesced batch, preferring the
+/// duplicated descriptor (no mutex) and falling back to locking the log.
+fn group_commit(
+    wal: Option<&Arc<Mutex<Wal>>>,
+    sync: Option<&WalSyncHandle>,
+    fsync_seconds: &Histogram,
+) {
+    let t = Instant::now();
+    let result = match (sync, wal) {
+        (Some(sync), _) => sync.sync(),
+        (None, Some(wal)) => recover_poisoned(wal.lock()).sync(),
+        (None, None) => return,
+    };
+    fsync_seconds.record(t.elapsed());
+    if let Err(e) = result {
+        eprintln!("rms-serve: WAL fsync failed: {e}");
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn applier_loop(
+    fd: FdRms,
+    rx: &Receiver<Msg>,
+    cell: &SnapshotCell,
+    state: &AtomicUsize,
+    cfg: &ServeConfig,
+    wal: Option<&Arc<Mutex<Wal>>>,
+    wal_sync: Option<&WalSyncHandle>,
+    watchers: &WatcherRegistry,
+    stats: ServiceStats,
+    metrics: &ServiceMetrics,
+) -> FdRms {
+    let fd = applier_inner(
+        fd, rx, cell, state, cfg, wal, wal_sync, watchers, stats, metrics,
+    );
+    // Dropping the senders closes every subscriber's delta stream; the
+    // closed ingestion bit (set before any exit path reaches here, or
+    // implied by every handle being gone) keeps late registrations
+    // from registering into the cleared registry.
+    recover_poisoned(watchers.lock()).clear();
+    fd
+}
+
+#[allow(clippy::too_many_arguments)]
+fn applier_inner(
+    mut fd: FdRms,
+    rx: &Receiver<Msg>,
+    cell: &SnapshotCell,
+    state: &AtomicUsize,
+    cfg: &ServeConfig,
+    wal: Option<&Arc<Mutex<Wal>>>,
+    wal_sync: Option<&WalSyncHandle>,
+    watchers: &WatcherRegistry,
+    mut stats: ServiceStats,
+    metrics: &ServiceMetrics,
+) -> FdRms {
+    let max_batch = cfg.max_batch.max(1);
+    let estimator = (cfg.mrr_directions > 0)
+        .then(|| RegretEstimator::new(fd.dim(), cfg.mrr_directions.max(fd.dim()), cfg.mrr_seed));
+    let mrr_every = cfg.mrr_every.max(1);
+    let mut epoch = 0u64;
+    let mut last_mrr = None;
+    // The previously published snapshot, kept for publish-time delta
+    // computation (watchers receive the diff, not the whole solution).
+    let mut prev = cell.load();
+    loop {
+        // Block for the first message, then coalesce whatever else is
+        // already queued — the adaptive batch: size 1 under light load
+        // (the engine routes it to the classic per-op path), up to
+        // `max_batch` under sustained pressure.
+        let mut shutting_down = false;
+        let mut ops: Vec<Op> = Vec::new();
+        match rx.recv() {
+            Ok(Msg::Op(op)) => {
+                state.fetch_sub(1, Ordering::SeqCst);
+                ops.push(op);
+            }
+            Ok(Msg::Shutdown) => shutting_down = true,
+            // The simulated unclean kill: no drain, no final snapshot,
+            // no WAL compaction.
+            Ok(Msg::Crash) => return fd,
+            // Every sender (service + all handles) dropped.
+            Err(_) => break,
+        }
+        while ops.len() < max_batch && !shutting_down {
+            match rx.try_recv() {
+                Ok(Msg::Op(op)) => {
+                    state.fetch_sub(1, Ordering::SeqCst);
+                    ops.push(op);
+                }
+                Ok(Msg::Shutdown) => shutting_down = true,
+                Ok(Msg::Crash) => return fd,
+                Err(_) => break,
+            }
+        }
+        if shutting_down {
+            // Drain until the submission count reaches zero, not just
+            // until the channel reads empty: every acknowledged op was
+            // counted *atomically with* observing the state word open
+            // (see `CLOSED_BIT`), and the closed bit was set before the
+            // shutdown marker was sent — so any count this loop still
+            // sees is an op that will arrive (possibly from a sender
+            // blocked on a full queue), and no new counts can appear.
+            loop {
+                match rx.try_recv() {
+                    Ok(Msg::Op(op)) => {
+                        state.fetch_sub(1, Ordering::SeqCst);
+                        ops.push(op);
+                    }
+                    Ok(Msg::Shutdown) => {}
+                    Ok(Msg::Crash) => return fd,
+                    Err(_) => {
+                        if state.load(Ordering::SeqCst) & COUNT_MASK == 0 {
+                            break;
+                        }
+                        std::thread::yield_now();
+                    }
+                }
+            }
+        }
+        for chunk in ops.chunks(max_batch) {
+            apply_batch(&mut fd, chunk, &mut stats, metrics);
+            // Group commit: the submitters' appends for this batch (and
+            // possibly later ones — strictly more durability) reach
+            // stable storage with one fdatasync per coalesced batch.
+            if cfg.wal_fsync {
+                group_commit(wal, wal_sync, &metrics.wal_fsync_seconds);
+            }
+        }
+        if !ops.is_empty() || shutting_down {
+            epoch += 1;
+            if let Some(est) = &estimator {
+                if epoch % mrr_every == 0 || shutting_down {
+                    let live = fd.live_points();
+                    last_mrr = Some(est.mrr(&live, &fd.result(), fd.k()));
+                }
+            }
+            stats.queue_depth = state.load(Ordering::Relaxed) & COUNT_MASK;
+            metrics.queue_depth.set(stats.queue_depth as i64);
+            let publish_start = Instant::now();
+            let snap = Arc::new(make_snapshot(&fd, epoch, stats, last_mrr));
+            // The cell swap and the delta broadcast happen under the
+            // registry lock, atomically with any concurrent watcher
+            // registration — so every subscriber's base snapshot meets
+            // its first delta gap-free.
+            let mut registry = recover_poisoned(watchers.lock());
+            cell.store(Arc::clone(&snap));
+            if !registry.is_empty() {
+                // The O(r) diff + clone runs only when someone actually
+                // consumes deltas; signal-only watchers (the multi-shard
+                // router) cost one unit send.
+                let delta = registry
+                    .iter()
+                    .any(|w| matches!(w, Watcher::Full(_)))
+                    .then(|| snap.delta_from(&prev));
+                registry.retain(|watcher| match (watcher, &delta) {
+                    // Watcher channels are unbounded, so these sends
+                    // under the registry lock never block; rms-analyze's
+                    // channel classification knows it, so no pragma is
+                    // needed here.
+                    (Watcher::Full(tx), Some(delta)) => tx.send(delta.clone()).is_ok(),
+                    // Unreachable (the delta is computed whenever a Full
+                    // watcher exists); dropping the watcher beats
+                    // panicking the applier.
+                    (Watcher::Full(_), None) => false,
+                    (Watcher::Signal(tx), _) => tx.send(()).is_ok(),
+                });
+            }
+            drop(registry);
+            metrics.publish_seconds.record(publish_start.elapsed());
+            metrics.publishes.inc();
+            prev = snap;
+        }
+        if shutting_down {
+            break;
+        }
+    }
+    // Graceful exit: compact the log to a checkpoint of the final state,
+    // bounding its size and making the next start replay-free. (IO
+    // failure leaves the op log intact — recovery still works, the log
+    // is merely uncompacted.)
+    if let Some(wal) = wal {
+        let mut wal = recover_poisoned(wal.lock());
+        if let Err(e) = wal.checkpoint(&fd.live_points()) {
+            eprintln!("rms-serve: WAL compaction failed: {e}");
+        }
+    }
+    fd
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An atomically-rejected N-op batch used to bump `batches` N+1 times
+    /// (the failed attempt plus one per replayed op), deflating
+    /// `avg_apply_ms` and disagreeing with the coalescing counters. The
+    /// whole salvage is one logical batch, tallied in `replayed_batches`.
+    #[test]
+    fn rejected_batch_counts_as_one_logical_batch() {
+        let initial: Vec<Point> = (0..20)
+            .map(|i| Point::new_unchecked(i, vec![(i as f64) / 20.0, 1.0 - (i as f64) / 20.0]))
+            .collect();
+        let mut fd = FdRms::builder(2)
+            .r(3)
+            .max_utilities(64)
+            .build(initial)
+            .unwrap();
+        let mut stats = ServiceStats::default();
+        let metrics = ServiceMetrics::register(&Registry::new(), None);
+
+        // 4 ops, one invalid (duplicate insert): atomic rejection, per-op
+        // replay salvages 3.
+        let batch = vec![
+            Op::Insert(Point::new_unchecked(100, vec![0.9, 0.8])),
+            Op::Insert(Point::new_unchecked(0, vec![0.1, 0.2])), // id 0 is live
+            Op::Delete(1),
+            Op::Update(Point::new_unchecked(2, vec![0.5, 0.6])),
+        ];
+        apply_batch(&mut fd, &batch, &mut stats, &metrics);
+        assert_eq!(stats.batches, 1, "salvage is one logical batch");
+        assert_eq!(stats.replayed_batches, 1);
+        assert_eq!(stats.ops_applied, 3);
+        assert_eq!(stats.ops_rejected, 1);
+        assert_eq!(stats.last_batch_ops, 4);
+
+        // A clean batch keeps agreeing with the coalescing counters.
+        apply_batch(
+            &mut fd,
+            &[Op::Insert(Point::new_unchecked(101, vec![0.7, 0.7]))],
+            &mut stats,
+            &metrics,
+        );
+        assert_eq!(stats.batches, 2);
+        assert_eq!(stats.replayed_batches, 1);
+        assert_eq!(stats.ops_applied, 4);
+        assert!(stats.avg_apply_ms() > 0.0);
+        // The registry counters mirror the stats, including through the
+        // per-op salvage path, and the batch-size histogram saw both
+        // coalesced sizes.
+        assert_eq!(metrics.ops_applied.value(), 4);
+        assert_eq!(metrics.ops_rejected.value(), 1);
+        assert_eq!(metrics.batch_ops.count(), 2);
+        assert_eq!(metrics.batch_ops.sum_ns(), 5);
+        assert_eq!(metrics.apply_seconds.count(), 2);
+        fd.check_invariants().unwrap();
+    }
+}

@@ -55,7 +55,7 @@ impl ServiceStats {
 
     /// Folds another shard's stats into this one: counters and wall-clock
     /// sum, high-water marks (`max_coalesced`, `last_*`) take the max.
-    /// The sharded serving layer publishes one aggregate built this way.
+    /// A multi-shard read publishes one aggregate built this way.
     pub fn absorb(&mut self, other: &ServiceStats) {
         self.ops_applied += other.ops_applied;
         self.ops_rejected += other.ops_rejected;
@@ -74,39 +74,62 @@ impl ServiceStats {
 /// One published state of the service: everything a reader needs, frozen
 /// at a batch boundary. Snapshots are immutable and shared by `Arc`, so
 /// holding one never blocks the applier or other readers.
+///
+/// A single shard publishes its own snapshot; with `S > 1` shards a
+/// read merges the per-shard snapshots into one of the same type (union
+/// of the solutions re-trimmed to `r`, summed stats).
 #[derive(Debug, Clone)]
 pub struct ResultSnapshot {
-    /// Publication version: 0 is the initial build, +1 per applied batch.
-    /// Strictly monotone across the snapshots any single reader observes.
-    pub epoch: u64,
+    /// Per-shard publication epochs, indexed by shard (one entry for a
+    /// single shard). Each shard's epoch is 0 at the initial build and
+    /// +1 per applied batch; for any single reader every component is
+    /// non-decreasing across successive snapshots.
+    pub epochs: Vec<u64>,
     /// The maintained k-RMS solution `Q`, sorted by id.
     pub result: Vec<Point>,
     /// Live tuples `n` at publication.
     pub len: usize,
-    /// Set-cover universe size `m` at publication.
+    /// Set-cover universe size `m` at publication (summed across shards).
     pub m: usize,
     /// Latest Monte-Carlo estimate of the max k-regret ratio of `result`
     /// (refreshed every `mrr_every` epochs when the service was
-    /// configured with `mrr_directions > 0`; `None` otherwise).
+    /// configured with `mrr_directions > 0`; `None` otherwise). With
+    /// several shards, the worst per-shard estimate: each shard
+    /// estimates against its own partition, so this is a health
+    /// indicator, not a bound on the merged result's global regret.
     pub mrr: Option<f64>,
-    /// Aggregate service instrumentation at publication.
+    /// Service instrumentation at publication (per-shard stats folded
+    /// with [`ServiceStats::absorb`]).
     pub stats: ServiceStats,
 }
 
 impl ResultSnapshot {
+    /// A scalar version label: the epoch-vector sum (the epoch itself
+    /// for a single shard). Strictly increases across distinct states
+    /// any single reader observes, since every component is monotone.
+    pub fn version(&self) -> u64 {
+        self.epochs.iter().sum()
+    }
+
+    /// Service instrumentation at publication; the same as the `stats`
+    /// field.
+    pub fn stats(&self) -> &ServiceStats {
+        &self.stats
+    }
+
     /// Ids of the published solution, sorted ascending.
     pub fn result_ids(&self) -> Vec<PointId> {
         self.result.iter().map(Point::id).collect()
     }
 
     /// The delta from `prev` to this snapshot, computed at publish time
-    /// by the applier so watchers receive it pushed instead of polling.
+    /// so watchers receive it pushed instead of polling.
     pub fn delta_from(&self, prev: &ResultSnapshot) -> SnapshotDelta {
         let (added, removed) = diff_results(&prev.result, &self.result);
         SnapshotDelta {
-            from_version: prev.epoch,
-            version: self.epoch,
-            epochs: vec![self.epoch],
+            from_version: prev.version(),
+            version: self.version(),
+            epochs: self.epochs.clone(),
             added,
             removed,
             len: self.len,
@@ -158,14 +181,13 @@ impl StatsDelta {
 /// version — the contract pinned by `tests/delta.rs`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotDelta {
-    /// The version this delta applies on top of: the previous snapshot's
-    /// epoch for a single service, the previous epoch-vector sum for a
-    /// shard group.
+    /// The version this delta applies on top of: the previous
+    /// snapshot's [`version`](ResultSnapshot::version).
     pub from_version: u64,
     /// The version after applying: strictly greater than `from_version`.
     pub version: u64,
     /// Per-shard epoch vector at `version` (one entry for a single
-    /// service). `version` is its sum, so it is strictly monotone while
+    /// shard). `version` is its sum, so it is strictly monotone while
     /// each component is monotone.
     pub epochs: Vec<u64>,
     /// Solution entries that appeared — or changed coordinates — since

@@ -27,6 +27,10 @@
 //! (atomically, via a temp-file rename), so the log never grows beyond
 //! one unclean run's worth of ops.
 //!
+//! A service with one shard logs to the path it is given; with `S > 1`
+//! shards, shard `i` logs to `<path>.<i>` and `<path>.meta` records `S`
+//! (see `shard_log_paths`).
+//!
 //! Torn tails are expected, not fatal: a crash mid-append leaves a
 //! truncated or checksum-failing final record; [`Wal::open`] stops
 //! replay at the last intact record and truncates the file there before
@@ -207,35 +211,15 @@ impl Wal {
         })
     }
 
-    /// Compacts the log to a single checkpoint of `points`: the new
-    /// content is written to a sibling temp file, synced, and atomically
-    /// renamed over the log, so a crash mid-compaction leaves either the
-    /// old log or the new one — never a mix.
+    /// Compacts the log to a single checkpoint of `points`, written with
+    /// [`write_durably`]: a crash mid-compaction leaves either the old
+    /// log or the new one — never a mix.
     pub fn checkpoint(&mut self, points: &[Point]) -> io::Result<()> {
-        let mut tmp_path = self.path.clone().into_os_string();
-        tmp_path.push(".tmp");
-        let tmp_path = PathBuf::from(tmp_path);
         let mut buf = Vec::new();
         buf.extend_from_slice(&MAGIC.to_le_bytes());
         buf.extend_from_slice(&VERSION.to_le_bytes());
         buf.extend_from_slice(&frame(TAG_CHECKPOINT, &rms_data::cache::encode(points)));
-        {
-            let mut tmp = File::create(&tmp_path)?;
-            tmp.write_all(&buf)?;
-            tmp.sync_data()?;
-        }
-        std::fs::rename(&tmp_path, &self.path)?;
-        // The rename itself is only power-failure durable once the
-        // parent directory entry is flushed (best-effort: a directory
-        // that cannot be opened or synced leaves process-kill durability
-        // intact).
-        let parent = match self.path.parent() {
-            Some(p) if !p.as_os_str().is_empty() => p,
-            _ => Path::new("."),
-        };
-        if let Ok(dir) = File::open(parent) {
-            let _ = dir.sync_all();
-        }
+        write_durably(&self.path, &buf)?;
         // Re-open so subsequent appends land after the checkpoint record
         // of the *new* file, not in the unlinked old one.
         self.file = OpenOptions::new().read(true).write(true).open(&self.path)?;
@@ -243,6 +227,119 @@ impl Wal {
         self.poisoned = false;
         Ok(())
     }
+}
+
+/// Replaces the file at `path` with `bytes` so that a crash or power
+/// loss leaves either the old content or the complete new one: the bytes
+/// go to a sibling `<path>.tmp`, are synced, and the temp file is
+/// renamed over `path`. The rename itself is only power-failure durable
+/// once the parent directory entry is flushed, so the directory is
+/// synced too (best-effort: a directory that cannot be opened or synced
+/// leaves process-kill durability intact).
+pub(crate) fn write_durably(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp_path = with_suffix(path, ".tmp");
+    {
+        let mut tmp = File::create(&tmp_path)?;
+        tmp.write_all(bytes)?;
+        tmp.sync_data()?;
+    }
+    std::fs::rename(&tmp_path, path)?;
+    let parent = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    if let Ok(dir) = File::open(parent) {
+        let _ = dir.sync_all();
+    }
+    Ok(())
+}
+
+/// `<path><suffix>`, e.g. `rms.wal` + `.meta` → `rms.wal.meta`.
+fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
+    let mut p = path.as_os_str().to_os_string();
+    p.push(suffix);
+    PathBuf::from(p)
+}
+
+/// The log file of each shard of an `S`-shard service whose write-ahead
+/// log lives at `base`, indexed by shard. One shard logs to `<base>`
+/// itself; `S > 1` shards log to `<base>.<i>` and record `S` in a
+/// `<base>.meta` sidecar ([`record_shard_count`]).
+///
+/// The partition key `id % S` is baked into that layout, so a layout
+/// written under another shard count is refused: a single shard refuses
+/// a group's logs (opening `<base>` would start a fresh empty log beside
+/// them), a group refuses a bare single-shard log, and a group refuses a
+/// recorded count other than `S` (silently opening 2 of 3 logs, or
+/// re-partitioning recovered tuples under a different modulus, would
+/// lose or duplicate acknowledged ops). Read-only: the count is recorded
+/// only after every shard has started, so a failed start pins no count.
+pub(crate) fn shard_log_paths(base: &Path, shards: usize) -> io::Result<Vec<PathBuf>> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    let meta = with_suffix(base, ".meta");
+    if shards == 1 {
+        if meta.exists() {
+            return Err(invalid(format!(
+                "{} belongs to a sharded group (see {}); start with the matching shard \
+                 count, or move the old logs aside",
+                base.display(),
+                meta.display()
+            )));
+        }
+        return Ok(vec![base.to_path_buf()]);
+    }
+    if base.is_file() {
+        return Err(invalid(format!(
+            "{} is a single-service write-ahead log; a shard group logs to {}.<i> \
+             (restart without --shards, or move the old log aside)",
+            base.display(),
+            base.display()
+        )));
+    }
+    match std::fs::read_to_string(&meta) {
+        Ok(raw) => {
+            let recorded: Option<usize> = raw
+                .trim()
+                .strip_prefix("shards=")
+                .and_then(|v| v.parse().ok());
+            match recorded {
+                Some(n) if n == shards => {}
+                Some(n) => {
+                    return Err(invalid(format!(
+                        "write-ahead logs at {} were written by a {n}-shard group; \
+                         refusing to start with {shards} shards (acknowledged ops would be \
+                         lost or mis-partitioned)",
+                        base.display()
+                    )))
+                }
+                None => {
+                    return Err(invalid(format!(
+                        "unreadable shard metadata in {}",
+                        meta.display()
+                    )))
+                }
+            }
+        }
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        Err(e) => return Err(e),
+    }
+    Ok((0..shards)
+        .map(|i| with_suffix(base, &format!(".{i}")))
+        .collect())
+}
+
+/// Records a group's shard count in the `<base>.meta` sidecar (see
+/// [`shard_log_paths`]); a no-op for a single shard. Written with
+/// [`write_durably`], so with `wal_fsync` on a power loss cannot keep
+/// the shard logs and lose the count that guards them.
+pub(crate) fn record_shard_count(base: &Path, shards: usize) -> io::Result<()> {
+    if shards == 1 {
+        return Ok(());
+    }
+    write_durably(
+        &with_suffix(base, ".meta"),
+        format!("shards={shards}\n").as_bytes(),
+    )
 }
 
 /// A duplicated descriptor of an open [`Wal`], used only for
@@ -488,6 +585,22 @@ mod tests {
         assert!(Wal::open(&path).is_err());
         // The foreign file is untouched.
         assert_eq!(std::fs::read(&path).unwrap(), b"definitely not a wal");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn write_durably_replaces_in_place_without_leftovers() {
+        let path = temp_path("durable");
+        let tmp = with_suffix(&path, ".tmp");
+        let _ = std::fs::remove_file(&path);
+        write_durably(&path, b"first").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"first");
+        assert!(!tmp.exists(), "no temp file is left behind");
+        // An existing file is replaced wholesale, not appended to or
+        // partially overwritten.
+        write_durably(&path, b"2nd").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"2nd");
+        assert!(!tmp.exists());
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -8,9 +8,7 @@ use fdrms::{FdRms, FdRmsBuilder, Op};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rms_geom::{Point, PointId};
-use rms_serve::{
-    BackendView, RmsBackend, RmsService, ServeConfig, ShardedRmsService, SnapshotDelta,
-};
+use rms_serve::{ResultSnapshot, RmsService, ServeConfig, SnapshotDelta};
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
@@ -52,15 +50,15 @@ fn builder(d: usize) -> FdRmsBuilder {
     FdRms::builder(d).r(4).max_utilities(128).seed(5)
 }
 
-fn solution_map(view: &BackendView) -> BTreeMap<PointId, Point> {
-    view.result().iter().map(|p| (p.id(), p.clone())).collect()
+fn solution_map(view: &ResultSnapshot) -> BTreeMap<PointId, Point> {
+    view.result.iter().map(|p| (p.id(), p.clone())).collect()
 }
 
 fn ids(solution: &BTreeMap<PointId, Point>) -> Vec<PointId> {
     solution.keys().copied().collect()
 }
 
-/// Drives `ops` through any backend while a subscriber collects deltas
+/// Drives `ops` through a service of any shard count while a subscriber collects deltas
 /// and an independent poller records the published solution at every
 /// version it observes. Checks, in order:
 ///
@@ -72,7 +70,7 @@ fn ids(solution: &BTreeMap<PointId, Point>) -> Vec<PointId> {
 ///    states);
 /// 3. after quiescing, the reconstruction equals the final published
 ///    solution exactly.
-fn check_delta_stream<B: RmsBackend>(backend: B, ops: Vec<Op>) {
+fn check_delta_stream(backend: RmsService, ops: Vec<Op>) {
     let total = ops.len() as u64;
     let rx = backend.watch();
     let handle = backend.handle();
@@ -82,7 +80,7 @@ fn check_delta_stream<B: RmsBackend>(backend: B, ops: Vec<Op>) {
         let backend_handle = backend.handle();
         std::thread::spawn(move || {
             for op in ops {
-                rms_serve::RmsBackendHandle::submit(&backend_handle, op).unwrap();
+                backend_handle.submit(op).unwrap();
             }
         })
     };
@@ -91,9 +89,9 @@ fn check_delta_stream<B: RmsBackend>(backend: B, ops: Vec<Op>) {
     let mut observed: HashMap<u64, Vec<PointId>> = HashMap::new();
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        let view = rms_serve::RmsBackendHandle::view(&handle);
+        let view = handle.snapshot();
         observed.insert(view.version(), view.result_ids());
-        let stats = view.stats();
+        let stats = &view.stats;
         if stats.ops_applied + stats.ops_rejected >= total {
             break;
         }
@@ -102,7 +100,7 @@ fn check_delta_stream<B: RmsBackend>(backend: B, ops: Vec<Op>) {
     }
     writer.join().unwrap();
     // One more settled read: the final published state.
-    let final_view = rms_serve::RmsBackendHandle::view(&handle);
+    let final_view = handle.snapshot();
     observed.insert(final_view.version(), final_view.result_ids());
     let final_version = final_view.version();
     let final_ids = final_view.result_ids();
@@ -196,15 +194,15 @@ fn sharded_delta_stream_reproduces_published_solutions() {
     let d = 3;
     let initial = random_points(3, 200, d);
     let ops = random_ops(4, &initial, 400, d);
-    let group = ShardedRmsService::start(
+    let group = RmsService::start(
         builder(d),
         initial,
         ServeConfig {
+            shards: 4,
             queue_capacity: 32,
             max_batch: 16,
             ..ServeConfig::default()
         },
-        4,
     )
     .unwrap();
     check_delta_stream(group, ops);
@@ -229,7 +227,7 @@ fn late_and_post_shutdown_watchers() {
     for op in &ops[60..] {
         handle.submit(op.clone()).unwrap();
     }
-    let fd = service.shutdown();
+    let fd = service.shutdown().remove(0);
     for delta in rx.iter() {
         delta.apply_to(&mut solution);
     }
@@ -239,5 +237,5 @@ fn late_and_post_shutdown_watchers() {
     // Post-shutdown subscription: closed stream, base still readable.
     let rx = handle.watch();
     assert!(rx.recv().is_err(), "post-shutdown stream must be closed");
-    assert!(rx.base().result().len() <= 4);
+    assert!(rx.base().result.len() <= 4);
 }

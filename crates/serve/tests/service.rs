@@ -85,29 +85,29 @@ fn readers_observe_monotone_epochs_and_final_state_matches_sequential() {
             let stop = Arc::clone(&stop);
             let ready = Arc::clone(&ready);
             std::thread::spawn(move || {
-                let mut last = handle.snapshot().epoch;
+                let mut last = handle.snapshot().version();
                 let mut distinct = 1u64;
                 ready.wait();
                 while !stop.load(Ordering::Relaxed) {
                     let snap = handle.snapshot();
                     assert!(
-                        snap.epoch >= last,
+                        snap.version() >= last,
                         "epoch went backwards: {} after {last}",
-                        snap.epoch
+                        snap.version()
                     );
-                    if snap.epoch > last {
+                    if snap.version() > last {
                         distinct += 1;
                         assert!(snap.result.len() <= 4);
                         assert_eq!(snap.result_ids().len(), snap.result.len());
                     }
-                    last = snap.epoch;
+                    last = snap.version();
                 }
                 // One guaranteed read after ingestion finished: the stop
                 // flag is raised only after the final snapshot is
                 // published, so every reader must see the drained epoch.
                 let snap = handle.snapshot();
-                assert!(snap.epoch >= last, "final epoch went backwards");
-                if snap.epoch > last {
+                assert!(snap.version() >= last, "final epoch went backwards");
+                if snap.version() > last {
                     distinct += 1;
                 }
                 distinct
@@ -120,7 +120,7 @@ fn readers_observe_monotone_epochs_and_final_state_matches_sequential() {
     for op in ops.clone() {
         handle.submit(op).unwrap();
     }
-    let fd = service.shutdown();
+    let fd = service.shutdown().remove(0);
     stop.store(true, Ordering::Relaxed);
     for r in readers {
         let distinct = r.join().unwrap();
@@ -133,7 +133,7 @@ fn readers_observe_monotone_epochs_and_final_state_matches_sequential() {
     assert_eq!(snap.stats.ops_applied, 400);
     assert_eq!(snap.stats.ops_rejected, 0);
     assert_eq!(snap.len, fd.len());
-    assert!(snap.epoch >= 1);
+    assert!(snap.version() >= 1);
     assert_eq!(snap.stats.queue_depth, 0);
     let orphan = Op::Delete(0);
     assert!(matches!(
@@ -177,7 +177,7 @@ fn invalid_ops_cost_only_themselves() {
         .submit(Op::Insert(Point::new_unchecked(0, vec![0.1, 0.2])))
         .unwrap(); // id 0 is live → rejected
     handle.submit(Op::Delete(1)).unwrap();
-    let fd = service.shutdown();
+    let fd = service.shutdown().remove(0);
 
     assert!(fd.contains(500));
     assert!(!fd.contains(1));
@@ -220,7 +220,7 @@ fn try_submit_reports_backpressure() {
     if let Some(op) = bounced {
         handle.submit(op).unwrap();
     }
-    let fd = service.shutdown();
+    let fd = service.shutdown().remove(0);
     fd.check_invariants().unwrap();
     assert_eq!(handle.snapshot().stats.ops_rejected, 0);
 }
@@ -244,7 +244,7 @@ fn adaptive_coalescing_shows_in_stats() {
     for op in ops {
         handle.submit(op).unwrap();
     }
-    let fd = service.shutdown();
+    let fd = service.shutdown().remove(0);
     fd.check_invariants().unwrap();
     let snap = handle.snapshot();
     assert_eq!(snap.stats.ops_applied, 300);
@@ -276,7 +276,7 @@ fn mrr_stats_publish_when_enabled() {
     for op in ops {
         handle.submit(op).unwrap();
     }
-    let fd = service.shutdown();
+    let fd = service.shutdown().remove(0);
     let snap = handle.snapshot();
     let mrr = snap.mrr.expect("estimation enabled");
     assert!((0.0..=1.0).contains(&mrr), "mrr {mrr}");

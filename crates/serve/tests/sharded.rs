@@ -1,4 +1,4 @@
-//! Contract of [`ShardedRmsService`]: id-partitioned routing, monotone
+//! Contract of a multi-shard `RmsService`: id-partitioned routing, monotone
 //! per-shard epochs under concurrent readers, and a drained group whose
 //! union matches a clean sequential apply.
 
@@ -6,7 +6,7 @@ use fdrms::{FdRms, FdRmsBuilder, Op};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rms_geom::{Point, PointId};
-use rms_serve::{ServeConfig, ShardedRmsService, SubmitError};
+use rms_serve::{RmsService, ServeConfig, SubmitError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -54,15 +54,15 @@ fn readers_observe_monotone_per_shard_epochs_and_union_matches_sequential() {
     let initial = random_points(11, 200, d);
     let ops = random_ops(12, &initial, 400, d);
 
-    let service = ShardedRmsService::start(
+    let service = RmsService::start(
         builder(d),
         initial.clone(),
         ServeConfig {
+            shards,
             queue_capacity: 32,
             max_batch: 64,
             ..ServeConfig::default()
         },
-        shards,
     )
     .unwrap();
 
@@ -166,8 +166,15 @@ fn aggregate_merges_and_trims_to_r() {
             Point::new_unchecked(i, vec![t, 1.0 - t])
         })
         .collect();
-    let service =
-        ShardedRmsService::start(builder(d), initial, ServeConfig::default(), shards).unwrap();
+    let service = RmsService::start(
+        builder(d),
+        initial,
+        ServeConfig {
+            shards,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
     let snap = service.snapshot();
     assert_eq!(snap.epochs, vec![0; shards]);
     assert_eq!(snap.len, 90);
@@ -194,20 +201,45 @@ fn single_shard_group_behaves_like_the_plain_service() {
     let d = 2;
     let initial = random_points(21, 60, d);
     let ops = random_ops(22, &initial, 80, d);
-    let sharded =
-        ShardedRmsService::start(builder(d), initial.clone(), ServeConfig::default(), 1).unwrap();
+    let sharded = RmsService::start(
+        builder(d),
+        initial.clone(),
+        ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    // One shard short-circuits the merge path: reads return the shard's
+    // published `Arc` itself, the registry carries no merge-cache family
+    // and no `shard=` label, and watchers register with the applier
+    // directly, so every delta carries a one-entry epoch vector.
+    let handle = sharded.handle();
+    let (first, second) = (handle.snapshot(), handle.snapshot());
+    assert_eq!(first.epochs, second.epochs);
+    assert!(Arc::ptr_eq(&first, &second));
+    let exposition = sharded.registry().encode();
+    assert!(!exposition.contains("rms_shard_merge_"), "{exposition}");
+    assert!(!exposition.contains("shard=\""), "{exposition}");
+    let rx = handle.watch();
+    assert_eq!(rx.base().epochs.len(), 1);
     for op in ops.clone() {
         sharded.submit(op).unwrap();
     }
     let mut fds = sharded.shutdown();
     let fd = fds.pop().unwrap();
     fd.check_invariants().unwrap();
+    let deltas: Vec<_> = rx.iter().collect();
+    assert!(!deltas.is_empty());
+    for delta in &deltas {
+        assert_eq!(delta.epochs, vec![delta.version]);
+    }
 
     let plain = rms_serve::RmsService::start(builder(d), initial, ServeConfig::default()).unwrap();
     for op in ops {
         plain.submit(op).unwrap();
     }
-    let fd2 = plain.shutdown();
+    let fd2 = plain.shutdown().remove(0);
     assert_eq!(fd.len(), fd2.len());
     assert_eq!(fd.result_ids(), fd2.result_ids());
 }

@@ -10,7 +10,7 @@
 use fdrms::FdRms;
 use rms_client::{ClientOp, RmsClient};
 use rms_geom::Point;
-use rms_serve::{RmsServer, RmsService, ServeConfig, ShardedRmsService};
+use rms_serve::{RmsServer, RmsService, ServeConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -173,11 +173,13 @@ fn loopback_round_trip_sharded() {
     let initial: Vec<Point> = (0..60)
         .map(|i| Point::new_unchecked(i, vec![(i as f64) / 60.0, 1.0 - (i as f64) / 60.0]))
         .collect();
-    let service = rms_serve::ShardedRmsService::start(
+    let service = RmsService::start(
         FdRms::builder(d).r(4).max_utilities(64).seed(3),
         initial,
-        ServeConfig::default(),
-        3,
+        ServeConfig {
+            shards: 3,
+            ..ServeConfig::default()
+        },
     )
     .unwrap();
     let server = RmsServer::bind("127.0.0.1:0", service).expect("bind ephemeral port");
@@ -442,20 +444,19 @@ fn rms_client_end_to_end_single_and_sharded() {
             .map(|i| Point::new_unchecked(i, vec![(i as f64) / 60.0, 1.0 - (i as f64) / 60.0]))
             .collect();
         let builder = FdRms::builder(d).r(4).max_utilities(64).seed(3);
-        let server = if shards == 1 {
-            let service = RmsService::start(builder, initial, ServeConfig::default()).unwrap();
-            RmsServer::bind("127.0.0.1:0", service).map(|s| {
-                let addr = s.local_addr().unwrap();
-                (addr, std::thread::spawn(move || s.run().expect("run")))
-            })
-        } else {
-            let service =
-                ShardedRmsService::start(builder, initial, ServeConfig::default(), shards).unwrap();
-            RmsServer::bind("127.0.0.1:0", service).map(|s| {
-                let addr = s.local_addr().unwrap();
-                (addr, std::thread::spawn(move || s.run().expect("run")))
-            })
-        };
+        let service = RmsService::start(
+            builder,
+            initial,
+            ServeConfig {
+                shards,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let server = RmsServer::bind("127.0.0.1:0", service).map(|s| {
+            let addr = s.local_addr().unwrap();
+            (addr, std::thread::spawn(move || s.run().expect("run")))
+        });
         let (addr, server) = server.expect("bind ephemeral port");
 
         let sub_client = RmsClient::connect(addr).expect("subscriber connect");
@@ -618,11 +619,13 @@ fn metrics_sharded_labels_via_typed_client() {
     let initial: Vec<Point> = (0..60)
         .map(|i| Point::new_unchecked(i, vec![(i as f64) / 60.0, 1.0 - (i as f64) / 60.0]))
         .collect();
-    let service = ShardedRmsService::start(
+    let service = RmsService::start(
         FdRms::builder(2).r(4).max_utilities(64).seed(3),
         initial,
-        ServeConfig::default(),
-        2,
+        ServeConfig {
+            shards: 2,
+            ..ServeConfig::default()
+        },
     )
     .unwrap();
     let server = RmsServer::bind("127.0.0.1:0", service).expect("bind ephemeral port");

@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rms_geom::{Point, PointId};
 use rms_serve::wal::Wal;
-use rms_serve::{RmsService, ServeConfig, ShardedRmsService};
+use rms_serve::{RmsService, ServeConfig};
 use std::path::PathBuf;
 
 fn random_points(seed: u64, n: usize, d: usize) -> Vec<Point> {
@@ -117,7 +117,7 @@ fn recovery_metrics_match_replay_stats() {
     assert_eq!(counter(&body, "rms_wal_recovered_ops_total"), recovered);
     assert!(counter(&body, "rms_wal_truncated_tail_bytes_total") > 0);
     assert_eq!(counter(&body, "rms_wal_appends_total"), 0, "fresh registry");
-    restarted.shutdown().check_invariants().unwrap();
+    restarted.shutdown()[0].check_invariants().unwrap();
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -147,8 +147,12 @@ fn crash_after_ack_loses_no_acknowledged_op() {
             .unwrap();
     let snap = restarted.snapshot();
     assert_eq!(snap.stats.wal_recovered_ops, 200, "all acked ops replayed");
-    assert_eq!(snap.epoch, 0, "replay happens before the service goes live");
-    let fd = restarted.shutdown();
+    assert_eq!(
+        snap.version(),
+        0,
+        "replay happens before the service goes live"
+    );
+    let fd = restarted.shutdown().remove(0);
     fd.check_invariants().unwrap();
     let seq = sequential(d, &initial, &ops);
     assert_eq!(live_ids(&fd), live_ids(&seq));
@@ -197,7 +201,7 @@ fn acked_but_unapplied_ops_survive_via_the_log() {
         RmsService::start_with_wal(builder(d), initial.clone(), ServeConfig::default(), &path)
             .unwrap();
     assert_eq!(restarted.snapshot().stats.wal_recovered_ops, 52);
-    let fd = restarted.shutdown();
+    let fd = restarted.shutdown().remove(0);
     fd.check_invariants().unwrap();
     assert!(fd.contains(777_777));
     assert!(!fd.contains(victim));
@@ -221,7 +225,7 @@ fn graceful_shutdown_compacts_to_a_checkpoint() {
     for op in ops {
         service.submit(op).unwrap();
     }
-    let fd = service.shutdown();
+    let fd = service.shutdown().remove(0);
     let expected = live_ids(&fd);
     fd.check_invariants().unwrap();
 
@@ -236,7 +240,7 @@ fn graceful_shutdown_compacts_to_a_checkpoint() {
     let restarted =
         RmsService::start_with_wal(builder(d), Vec::new(), ServeConfig::default(), &path).unwrap();
     assert_eq!(restarted.snapshot().stats.wal_recovered_ops, 0);
-    let fd = restarted.shutdown();
+    let fd = restarted.shutdown().remove(0);
     fd.check_invariants().unwrap();
     assert_eq!(live_ids(&fd), expected);
     std::fs::remove_file(&path).unwrap();
@@ -254,11 +258,13 @@ fn shard_count_mismatch_is_refused() {
     };
     cleanup();
     let initial = random_points(9, 40, d);
-    let service = ShardedRmsService::start_with_wal(
+    let service = RmsService::start_with_wal(
         builder(d),
         initial.clone(),
-        ServeConfig::default(),
-        3,
+        ServeConfig {
+            shards: 3,
+            ..ServeConfig::default()
+        },
         &base,
     )
     .unwrap();
@@ -266,11 +272,13 @@ fn shard_count_mismatch_is_refused() {
 
     // Restarting with a different shard count must fail loudly instead
     // of silently dropping a shard's log or re-partitioning ids.
-    let err = ShardedRmsService::start_with_wal(
+    let err = RmsService::start_with_wal(
         builder(d),
         initial.clone(),
-        ServeConfig::default(),
-        2,
+        ServeConfig {
+            shards: 2,
+            ..ServeConfig::default()
+        },
         &base,
     )
     .map(|_| ())
@@ -278,9 +286,16 @@ fn shard_count_mismatch_is_refused() {
     assert!(err.to_string().contains("3-shard"), "{err}");
 
     // The matching count still works.
-    let service =
-        ShardedRmsService::start_with_wal(builder(d), initial, ServeConfig::default(), 3, &base)
-            .unwrap();
+    let service = RmsService::start_with_wal(
+        builder(d),
+        initial,
+        ServeConfig {
+            shards: 3,
+            ..ServeConfig::default()
+        },
+        &base,
+    )
+    .unwrap();
     for fd in service.shutdown() {
         fd.check_invariants().unwrap();
     }
@@ -301,11 +316,13 @@ fn failed_startup_does_not_pin_a_shard_count() {
     let initial = random_points(13, 30, d);
     // r < d is rejected by the builder, after shard 0's log is opened
     // but before any data lands — the sidecar must not be written.
-    assert!(ShardedRmsService::start_with_wal(
+    assert!(RmsService::start_with_wal(
         FdRms::builder(d).r(1).max_utilities(64),
         initial.clone(),
-        ServeConfig::default(),
-        4,
+        ServeConfig {
+            shards: 4,
+            ..ServeConfig::default()
+        },
         &base,
     )
     .is_err());
@@ -314,9 +331,16 @@ fn failed_startup_does_not_pin_a_shard_count() {
         "failed startup must not record a shard count"
     );
     // A retry with a *different* count is not refused.
-    let service =
-        ShardedRmsService::start_with_wal(builder(d), initial, ServeConfig::default(), 2, &base)
-            .unwrap();
+    let service = RmsService::start_with_wal(
+        builder(d),
+        initial,
+        ServeConfig {
+            shards: 2,
+            ..ServeConfig::default()
+        },
+        &base,
+    )
+    .unwrap();
     for fd in service.shutdown() {
         fd.check_invariants().unwrap();
     }
@@ -335,22 +359,64 @@ fn single_service_refuses_a_shard_groups_logs() {
     };
     cleanup();
     let initial = random_points(15, 30, d);
-    let group = ShardedRmsService::start_with_wal(
+    let group = RmsService::start_with_wal(
         builder(d),
         initial.clone(),
-        ServeConfig::default(),
-        2,
+        ServeConfig {
+            shards: 2,
+            ..ServeConfig::default()
+        },
         &base,
     )
     .unwrap();
     group.crash();
     // Opening the bare base path would create a fresh empty log and
     // silently ignore the shard logs; the library itself must refuse.
-    let err = RmsService::start_with_wal(builder(d), initial, ServeConfig::default(), &base)
-        .map(|_| ())
-        .unwrap_err();
+    let err =
+        RmsService::start_with_wal(builder(d), initial.clone(), ServeConfig::default(), &base)
+            .map(|_| ())
+            .unwrap_err();
     assert!(err.to_string().contains("sharded group"), "{err}");
     cleanup();
+
+    // The converse: a bare single-service log at the base path is
+    // refused by a group (which would otherwise start fresh shard logs
+    // beside it), and still reopens and recovers as a single service.
+    let _ = std::fs::remove_file(&base);
+    let single =
+        RmsService::start_with_wal(builder(d), initial.clone(), ServeConfig::default(), &base)
+            .unwrap();
+    single
+        .submit(Op::Insert(Point::new_unchecked(9_000, vec![0.9, 0.9])))
+        .unwrap();
+    single.crash();
+    let err = RmsService::start_with_wal(
+        builder(d),
+        initial.clone(),
+        ServeConfig {
+            shards: 2,
+            ..ServeConfig::default()
+        },
+        &base,
+    )
+    .map(|_| ())
+    .unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("is a single-service write-ahead log"),
+        "{err}"
+    );
+    assert!(
+        !PathBuf::from(format!("{}.meta", base.display())).exists(),
+        "a refused start must not record a shard count"
+    );
+    let reopened =
+        RmsService::start_with_wal(builder(d), initial, ServeConfig::default(), &base).unwrap();
+    assert_eq!(reopened.snapshot().stats.wal_recovered_ops, 1);
+    let fd = reopened.shutdown().remove(0);
+    assert!(fd.contains(9_000));
+    fd.check_invariants().unwrap();
+    std::fs::remove_file(&base).unwrap();
 }
 
 /// Two writers race *conflicting* ops on the same ids: one inserts each
@@ -430,7 +496,7 @@ fn contended_id_recovery_matches_live_outcome() {
 
         let restarted =
             RmsService::start_with_wal(builder(d), initial, ServeConfig::default(), &path).unwrap();
-        let fd = restarted.shutdown();
+        let fd = restarted.shutdown().remove(0);
         fd.check_invariants().unwrap();
         let recovered: u64 = (0..pairs).filter(|i| fd.contains(7_000 + i)).count() as u64;
         assert_eq!(
@@ -456,11 +522,13 @@ fn sharded_crash_recovery_loses_nothing() {
     let initial = random_points(7, 160, d);
     let ops = random_ops(8, &initial, 240, d);
 
-    let service = ShardedRmsService::start_with_wal(
+    let service = RmsService::start_with_wal(
         builder(d),
         initial.clone(),
-        ServeConfig::default(),
-        shards,
+        ServeConfig {
+            shards,
+            ..ServeConfig::default()
+        },
         &base,
     )
     .unwrap();
@@ -473,11 +541,13 @@ fn sharded_crash_recovery_loses_nothing() {
     // Restart the whole group from the per-shard logs: the union of the
     // recovered shards must match a clean sequential apply, and every
     // shard must hold exactly its id partition.
-    let restarted = ShardedRmsService::start_with_wal(
+    let restarted = RmsService::start_with_wal(
         builder(d),
         initial.clone(),
-        ServeConfig::default(),
-        shards,
+        ServeConfig {
+            shards,
+            ..ServeConfig::default()
+        },
         &base,
     )
     .unwrap();

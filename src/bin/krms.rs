@@ -60,13 +60,14 @@ USAGE:
                                batch engine, B operations at a time)
   krms serve    --in FILE --r R [--k K] [--eps E] [--max-m M]
                 [--addr HOST:PORT] [--queue Q] [--max-batch B]
-                [--shards S]     (S > 1: id-partitioned shard group —
-                                  mutations route by id % S, QUERY merges
-                                  the per-shard solutions)
+                [--shards S]     (id-partitioned engines, default 1:
+                                  mutations route by id % S; with S > 1
+                                  QUERY merges the per-shard solutions)
                 [--wal PATH]     (write-ahead op log: acknowledged ops
                                   are logged before the ack and replayed
-                                  on restart; with --shards S, shard i
-                                  logs to PATH.i)
+                                  on restart; with S > 1, shard i logs
+                                  to PATH.i and PATH.meta records S — a
+                                  restart with another S is refused)
                 [--wal-fsync true|false]  (fsync the log once per applied
                                   batch: survives power loss, not just
                                   process death; default false)
@@ -80,7 +81,7 @@ USAGE:
                 [--net-threads N]  (reactor threads serving connections;
                                   accepted sockets are dealt round-robin
                                   across the group; default 1)
-                                 (TCP front end over the serving backend;
+                                 (TCP front end over the service;
                                   line protocol v1: INSERT/DELETE/UPDATE/
                                   QUERY/STATS/SHUTDOWN, one reply per line;
                                   v2 after HELLO v2: BATCH <n> pipelining,
@@ -395,11 +396,9 @@ fn cmd_workload(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Binds, serves, and summarizes any started backend — the single
-/// service and the shard group share this path end to end (the
-/// `RmsBackend` trait carries everything the front end needs).
-fn serve_backend<B: krms::serve::RmsBackend>(
-    backend: B,
+/// Binds, serves, and summarizes a started service of any shard count.
+fn serve(
+    service: krms::serve::RmsService,
     addr: &str,
     metrics_addr: Option<&str>,
     net_threads: usize,
@@ -408,7 +407,7 @@ fn serve_backend<B: krms::serve::RmsBackend>(
     use krms::serve::RmsServer;
 
     if let Some(maddr) = metrics_addr {
-        let registry = std::sync::Arc::clone(backend.registry());
+        let registry = std::sync::Arc::clone(service.registry());
         let listener =
             std::net::TcpListener::bind(maddr).map_err(|e| format!("bind metrics {maddr}: {e}"))?;
         let bound = listener.local_addr().map_err(|e| e.to_string())?;
@@ -418,7 +417,7 @@ fn serve_backend<B: krms::serve::RmsBackend>(
             .map_err(|e| format!("spawn metrics listener: {e}"))?;
         println!("metrics: http://{bound}/metrics");
     }
-    let server = RmsServer::bind(addr, backend)
+    let server = RmsServer::bind(addr, service)
         .map_err(|e| format!("bind {addr}: {e}"))?
         .with_net_threads(net_threads);
     println!(
@@ -489,7 +488,7 @@ fn serve_metrics_http(listener: &std::net::TcpListener, registry: &krms::metrics
 }
 
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
-    use krms::serve::{RmsService, ServeConfig, ShardedRmsService};
+    use krms::serve::{RmsService, ServeConfig};
     use std::path::PathBuf;
 
     let points = load_points(flags)?;
@@ -498,10 +497,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let k: usize = get(flags, "k", 1)?;
     let eps: f64 = get(flags, "eps", 0.02)?;
     let max_m: usize = get(flags, "max-m", 1 << 12)?;
-    let shards: usize = get(flags, "shards", 1)?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
     let wal: Option<PathBuf> = flags.get("wal").map(PathBuf::from);
     let addr = flags
         .get("addr")
@@ -514,6 +509,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     let defaults = ServeConfig::default();
     let cfg = ServeConfig {
+        shards: get(flags, "shards", defaults.shards)?,
         queue_capacity: get(flags, "queue", 1024usize)?,
         max_batch: get(flags, "max-batch", 512usize)?,
         mrr_directions: get(flags, "mrr-dirs", 0usize)?,
@@ -521,13 +517,15 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         mrr_seed: get(flags, "mrr-seed", defaults.mrr_seed)?,
         wal_fsync: get(flags, "wal-fsync", false)?,
     };
+    if cfg.shards == 0 {
+        return Err("--shards must be at least 1".into());
+    }
     if cfg.wal_fsync && wal.is_none() {
         return Err("--wal-fsync true requires --wal PATH".into());
     }
-    // Single↔sharded WAL mismatches are refused by the serve layer
-    // itself: `RmsService::start_with_wal` rejects a path with a
-    // `.meta` sidecar (a shard group's logs), and the shard group
-    // rejects a bare single-service log or a different shard count.
+    // Shard-count mismatches against existing logs (a bare single-shard
+    // log, a group's `.meta`-guarded logs, or a different count) are
+    // refused by the serve layer itself.
 
     let n = points.len();
     let builder = FdRms::builder(d)
@@ -536,41 +534,24 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         .epsilon(eps)
         .max_utilities(max_m);
     let banner = format!(
-        "serving FD-RMS (n = {n}, d = {d}, k = {k}, r = {r}, eps = {eps}, shards = {shards}{})",
+        "serving FD-RMS (n = {n}, d = {d}, k = {k}, r = {r}, eps = {eps}, shards = {}{})",
+        cfg.shards,
         wal.as_deref()
             .map(|p| format!(", wal = {}", p.display()))
             .unwrap_or_default(),
     );
-    if shards > 1 {
-        let service = match &wal {
-            Some(path) => ShardedRmsService::start_with_wal(builder, points, cfg, shards, path)
-                .map_err(|e| e.to_string())?,
-            None => {
-                ShardedRmsService::start(builder, points, cfg, shards).map_err(|e| e.to_string())?
-            }
-        };
-        serve_backend(
-            service,
-            &addr,
-            metrics_addr.as_deref(),
-            net_threads,
-            &banner,
-        )
-    } else {
-        let service = match &wal {
-            Some(path) => {
-                RmsService::start_with_wal(builder, points, cfg, path).map_err(|e| e.to_string())?
-            }
-            None => RmsService::start(builder, points, cfg).map_err(|e| e.to_string())?,
-        };
-        serve_backend(
-            service,
-            &addr,
-            metrics_addr.as_deref(),
-            net_threads,
-            &banner,
-        )
+    let service = match &wal {
+        Some(path) => RmsService::start_with_wal(builder, points, cfg, path),
+        None => RmsService::start(builder, points, cfg),
     }
+    .map_err(|e| e.to_string())?;
+    serve(
+        service,
+        &addr,
+        metrics_addr.as_deref(),
+        net_threads,
+        &banner,
+    )
 }
 
 fn cmd_skyline(flags: &HashMap<String, String>) -> Result<(), String> {
