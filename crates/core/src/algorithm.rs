@@ -168,7 +168,8 @@ impl FdRms {
 
         // Binary search m ∈ [r, M] so that the greedy cover has size r
         // (Lines 3–14). |C| grows with m; we keep the largest probe whose
-        // cover size does not exceed r.
+        // cover size does not exceed r. Probes only size the greedy cover;
+        // the winning universe is installed once, after the search.
         if fd.points.is_empty() {
             fd.m = cfg.r;
             fd.cover.reset_universe(std::iter::empty());
@@ -179,9 +180,11 @@ impl FdRms {
         let mut best_m = cfg.r;
         while lo <= hi {
             let mid = (lo + hi) / 2;
-            fd.cover.reset_universe(0..mid as ElemId);
-            fd.cover.greedy().expect("every utility has a top-1 tuple");
-            let size = fd.cover.solution_size();
+            let size = fd
+                .cover
+                .greedy_picks(0..mid as ElemId)
+                .expect("every utility has a top-1 tuple")
+                .len();
             if size < fd.r {
                 best_m = mid;
                 lo = mid + 1;
@@ -192,10 +195,8 @@ impl FdRms {
                 break;
             }
         }
-        if fd.cover.universe_size() != best_m {
-            fd.cover.reset_universe(0..best_m as ElemId);
-            fd.cover.greedy().expect("every utility has a top-1 tuple");
-        }
+        fd.cover.reset_universe(0..best_m as ElemId);
+        fd.cover.greedy().expect("every utility has a top-1 tuple");
         fd.m = best_m;
         Ok(fd)
     }
@@ -329,19 +330,19 @@ impl FdRms {
     /// Solves the **min-size** variant referenced in the related work
     /// ([3], [19]): the smallest subset whose maximum k-regret ratio is at
     /// most ε (with respect to the full sampled net of `M` utility
-    /// vectors, not just the tuned prefix `m`). Runs greedy set cover on
-    /// a clone of the maintained system, so the dynamic state is
-    /// untouched. Cost is one greedy pass — `O(r'·n)` — so call it on
-    /// demand, not per update.
+    /// vectors, not just the tuned prefix `m`). Computes the greedy picks
+    /// over all `M` utilities without installing them, so the dynamic
+    /// state is untouched. Cost is one greedy pass — `O(r'·n)` — so call
+    /// it on demand, not per update.
     pub fn min_size_result(&self) -> Vec<Point> {
         if self.points.is_empty() {
             return Vec::new();
         }
-        let mut cover = self.cover.clone();
-        cover.reset_universe(0..self.cap_m as ElemId);
-        cover.greedy().expect("every utility has a top-1 tuple");
-        let mut out: Vec<Point> = cover
-            .solution()
+        let mut out: Vec<Point> = self
+            .cover
+            .greedy_picks(0..self.cap_m as ElemId)
+            .expect("every utility has a top-1 tuple")
+            .into_iter()
             .map(|pid| self.points[&pid].clone())
             .collect();
         out.sort_unstable_by_key(Point::id);
@@ -960,6 +961,76 @@ mod tests {
         fd.check_invariants().unwrap();
         assert_eq!(fd.result().len().min(2), fd.result().len());
         assert!(!fd.result().is_empty());
+    }
+
+    /// Pins `m`, the initial result and the min-size result of seeded
+    /// builds to the values the reset-and-greedy-per-probe search
+    /// produced, so the probe sizing can never drift from it. Cases: a
+    /// search that ends at `m = M` (the cover stays below `r`), one that
+    /// stops mid-range, and one that stops near `r`.
+    #[test]
+    fn golden_build_pins_m_and_result() {
+        use rms_data::generators::{anticorrelated, independent};
+        type Case = (
+            Vec<Point>,
+            usize,
+            usize,
+            usize,
+            f64,
+            usize,
+            &'static [PointId],
+        );
+        let cases: [Case; 3] = [
+            (
+                independent(&mut StdRng::seed_from_u64(1), 2000, 4),
+                4,
+                1,
+                20,
+                0.02,
+                4096,
+                &[119, 272, 346, 714, 1000, 1338, 1407, 1805],
+            ),
+            (
+                anticorrelated(&mut StdRng::seed_from_u64(2), 2000, 4),
+                4,
+                1,
+                10,
+                0.05,
+                2053,
+                &[96, 136, 340, 574, 844, 921, 1245, 1622, 1720, 1769],
+            ),
+            (
+                anticorrelated(&mut StdRng::seed_from_u64(2), 2000, 4),
+                4,
+                3,
+                10,
+                0.01,
+                72,
+                &[76, 96, 154, 464, 747, 844, 974, 1209, 1245, 1796],
+            ),
+        ];
+        let min_size: [&[PointId]; 3] = [
+            &[119, 272, 346, 714, 1000, 1338, 1407, 1805],
+            &[96, 136, 154, 340, 574, 844, 921, 1245, 1622, 1720, 1769],
+            &[
+                51, 76, 96, 212, 689, 844, 849, 921, 1209, 1245, 1512, 1622, 1720, 1796, 1849,
+            ],
+        ];
+        for ((pts, d, k, r, eps, m, ids), min_ids) in cases.into_iter().zip(min_size) {
+            let fd = FdRms::builder(d).k(k).r(r).epsilon(eps).build(pts).unwrap();
+            assert_eq!(fd.m(), m);
+            assert_eq!(fd.result_ids(), ids);
+            fd.check_invariants().unwrap();
+
+            let got: Vec<PointId> = fd.min_size_result().iter().map(Point::id).collect();
+            assert_eq!(got, min_ids);
+            let mut full = fd.cover.clone();
+            full.reset_universe(0..fd.cap_m as ElemId);
+            full.greedy().unwrap();
+            let mut want: Vec<PointId> = full.solution().collect();
+            want.sort_unstable();
+            assert_eq!(got, want);
+        }
     }
 
     use rand::rngs::StdRng;

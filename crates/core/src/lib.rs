@@ -19,9 +19,11 @@
 //! 2. Transpose those results into a set system: tuple `p` covers utility
 //!    `u` iff `p ∈ Φ_{k,ε}(u, P_t)`. A set-cover solution over the first
 //!    `m ≤ M` utilities, maintained *stably* (crate `rms-setcover`), is
-//!    the k-RMS answer; `m` is tuned (binary search at build time,
-//!    incremental afterwards — Algorithms 2 and 4) so the solution size is
-//!    exactly `r`.
+//!    the k-RMS answer; `m` is tuned so the solution size is exactly `r`
+//!    (Algorithms 2 and 4). At build time a binary search sizes each probe
+//!    with `DynamicSetCover::greedy_picks`, which installs nothing, and
+//!    one greedy cover is installed on the chosen `m`; afterwards `m`
+//!    moves incrementally.
 //!
 //! ## Example
 //!

@@ -2,7 +2,8 @@
 
 use crate::dynamicset::SpillSet;
 use crate::level::LevelBase;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 
 /// Identifier of a universe element. In FD-RMS, elements are utility
 /// vectors, indexed `0..m`.
@@ -399,76 +400,121 @@ impl DynamicSetCover {
 
     /// Replaces the universe wholesale, discarding the current solution.
     ///
-    /// Used by the FD-RMS initialisation (Algorithm 2), which binary
-    /// searches the sample size `m` and reruns [`DynamicSetCover::greedy`]
-    /// on `U = {u_1, …, u_m}` at each probe — incremental element
-    /// insertion would waste stabilisation work that greedy immediately
-    /// throws away. Call [`DynamicSetCover::greedy`] afterwards to obtain
-    /// a solution; until then the structure has no cover.
+    /// Used by the FD-RMS initialisation (Algorithm 2), which sizes its
+    /// binary-search probes with [`DynamicSetCover::greedy_picks`] and then
+    /// installs the winning `U = {u_1, …, u_m}` once with this and
+    /// [`DynamicSetCover::greedy`] — incremental element insertion would
+    /// waste stabilisation work that greedy immediately throws away. Until
+    /// `greedy` runs the structure has no cover.
     pub fn reset_universe(&mut self, elems: impl IntoIterator<Item = ElemId>) {
+        self.clear_solution();
+        self.universe = elems.into_iter().collect();
+    }
+
+    /// Drops `C`, `φ`, the levels, the counters and the worklist.
+    fn clear_solution(&mut self) {
         self.phi.clear();
         self.cov.clear();
         self.level_of.clear();
         self.cnt.clear();
         self.dirty.clear();
         self.dirty_guard.clear();
-        self.universe = elems.into_iter().collect();
     }
 
     // ------------------------------------------------------------------
     // GREEDY initialisation (Lines 13–19 of Algorithm 1)
     // ------------------------------------------------------------------
 
-    /// Discards the current solution and recomputes one with the classic
-    /// greedy algorithm, assigning every chosen set to its level. By
-    /// Lemma 1 the result is stable.
-    pub fn greedy(&mut self) -> Result<(), CoverError> {
-        // Reset solution state.
-        self.phi.clear();
-        self.cov.clear();
-        self.level_of.clear();
-        self.cnt.clear();
-        self.dirty.clear();
-        self.dirty_guard.clear();
+    /// The sets the classic greedy algorithm picks to cover `universe`, in
+    /// pick order, computed without touching the maintained state.
+    ///
+    /// Each step takes the set with the most uncovered members, ties going
+    /// to the smaller id. Scratch is flat: membership rows filtered to
+    /// `universe`, an uncovered map indexed by element id (as long as the
+    /// largest id) and a lazy max-heap. Fails with
+    /// [`CoverError::UncoverableElement`] naming the smallest element of
+    /// `universe` that no set contains.
+    pub fn greedy_picks(
+        &self,
+        universe: impl IntoIterator<Item = ElemId>,
+    ) -> Result<Vec<SetId>, CoverError> {
+        let mut uncovered: Vec<bool> = Vec::new();
+        let mut left = 0usize;
+        for u in universe {
+            let i = u as usize;
+            if i >= uncovered.len() {
+                uncovered.resize(i + 1, false);
+            }
+            if !uncovered[i] {
+                uncovered[i] = true;
+                left += 1;
+            }
+        }
 
-        let mut uncovered: ElemRow = self.universe.iter().copied().collect();
+        // Row `i` of the filtered system is `elems[start[i]..start[i + 1]]`;
+        // sets meeting no universe element get no row.
+        let mut elems: Vec<ElemId> = Vec::new();
+        let mut start = vec![0];
+        let mut heap = Vec::new();
+        for (&s, members) in &self.sets {
+            let before = elems.len();
+            elems.extend(
+                members
+                    .iter()
+                    .copied()
+                    .filter(|&u| uncovered.get(u as usize) == Some(&true)),
+            );
+            if elems.len() > before {
+                heap.push((elems.len() - before, Reverse(s), start.len() - 1));
+                start.push(elems.len());
+            }
+        }
         // Lazy-decrement max-heap over |S ∩ I|: counts only ever shrink, so
         // a popped entry matching its recomputed count is globally maximal.
-        let mut heap: std::collections::BinaryHeap<(usize, std::cmp::Reverse<SetId>)> = self
-            .sets
-            .iter()
-            .map(|(&s, members)| {
-                let c = members.iter().filter(|u| uncovered.contains(u)).count();
-                (c, std::cmp::Reverse(s))
-            })
-            .collect();
-
-        while !uncovered.is_empty() {
-            let Some((c, std::cmp::Reverse(s))) = heap.pop() else {
-                let u = *uncovered.iter().next().expect("nonempty");
-                return Err(CoverError::UncoverableElement(u));
+        let mut heap = BinaryHeap::from(heap);
+        let mut picks = Vec::new();
+        while left > 0 {
+            let Some((c, Reverse(s), row)) = heap.pop() else {
+                let u = uncovered.iter().position(|&x| x).expect("left > 0");
+                return Err(CoverError::UncoverableElement(u as ElemId));
             };
-            if c == 0 {
-                let u = *uncovered.iter().next().expect("nonempty");
-                return Err(CoverError::UncoverableElement(u));
-            }
-            let members = &self.sets[&s];
-            let fresh: ElemRow = members
-                .iter()
-                .copied()
-                .filter(|u| uncovered.contains(u))
-                .collect();
-            if fresh.len() < c {
+            let members = &elems[start[row]..start[row + 1]];
+            let fresh = members.iter().filter(|&&u| uncovered[u as usize]).count();
+            if fresh < c {
                 // Stale entry: reinsert with the true count.
-                heap.push((fresh.len(), std::cmp::Reverse(s)));
+                if fresh > 0 {
+                    heap.push((fresh, Reverse(s), row));
+                }
                 continue;
             }
+            for &u in members {
+                uncovered[u as usize] = false;
+            }
+            left -= fresh;
+            picks.push(s);
+        }
+        Ok(picks)
+    }
+
+    /// Discards the current solution and recomputes one with the classic
+    /// greedy algorithm ([`DynamicSetCover::greedy_picks`] over the
+    /// universe), assigning every chosen set to its level. By Lemma 1 the
+    /// result is stable. On error the structure is left as
+    /// [`DynamicSetCover::reset_universe`] leaves it: universe kept, no
+    /// solution.
+    pub fn greedy(&mut self) -> Result<(), CoverError> {
+        let picks = self.greedy_picks(self.universe.iter().copied());
+        self.clear_solution();
+        for s in picks? {
+            let fresh: ElemRow = self.sets[&s]
+                .iter()
+                .copied()
+                .filter(|u| self.universe.contains(u) && !self.phi.contains_key(u))
+                .collect();
             for &u in &fresh {
-                uncovered.remove(&u);
                 self.phi.insert(u, s);
             }
-            let level = self.base.level_for(fresh.len());
-            self.level_of.insert(s, level);
+            self.level_of.insert(s, self.base.level_for(fresh.len()));
             self.cov.insert(s, fresh);
         }
 
@@ -563,7 +609,7 @@ impl DynamicSetCover {
             .iter()
             .copied()
             .filter(|s| self.cov.contains_key(s))
-            .max_by_key(|s| (self.cov[s].len(), std::cmp::Reverse(*s)))
+            .max_by_key(|s| (self.cov[s].len(), Reverse(*s)))
             .or_else(|| es.iter().copied().min())
             .expect("membership nonempty");
 
@@ -1038,6 +1084,42 @@ mod tests {
         assert_eq!(dropped, vec![0]);
         c.greedy().unwrap(); // empty universe now — fine
         assert_eq!(c.solution_size(), 0);
+    }
+
+    #[test]
+    fn greedy_error_leaves_no_partial_solution() {
+        let mut c = DynamicSetCover::default();
+        c.insert_set(1, [0, 1]).unwrap();
+        c.insert_set(2, [1]).unwrap();
+        c.reset_universe(0..3);
+        assert_eq!(c.greedy(), Err(CoverError::UncoverableElement(2)));
+        assert_eq!(c.solution_size(), 0);
+        assert_eq!(c.universe_size(), 3);
+        assert_eq!(c.assignment(0), None);
+        c.insert_set(3, [2]).unwrap();
+        c.greedy().unwrap();
+        c.check_invariants().unwrap();
+        assert_eq!(c.solution_size(), 2);
+    }
+
+    #[test]
+    fn greedy_picks_in_pick_order_without_installing() {
+        let c = build(
+            6,
+            &[(1, &[0, 1, 2, 3]), (2, &[3, 4]), (3, &[4, 5]), (4, &[5])],
+        );
+        let before: Vec<SetId> = c.solution().collect();
+        assert_eq!(c.greedy_picks(0..6), Ok(vec![1, 3]));
+        // Ties go to the smaller id.
+        assert_eq!(c.greedy_picks([3]), Ok(vec![1]));
+        assert_eq!(c.greedy_picks([5]), Ok(vec![3]));
+        assert_eq!(c.greedy_picks(std::iter::empty()), Ok(vec![]));
+        assert_eq!(
+            c.greedy_picks([9, 7, 0]),
+            Err(CoverError::UncoverableElement(7))
+        );
+        assert_eq!(c.solution().collect::<Vec<_>>(), before);
+        c.check_invariants().unwrap();
     }
 
     #[test]

@@ -53,6 +53,36 @@ fn greedy_cover_size(
     size
 }
 
+/// Applies a script without a shadow model, skipping ops on absent sets
+/// and ignoring element inserts no set can cover.
+fn apply_loose(c: &mut DynamicSetCover, ops: Vec<Op>) {
+    for op in ops {
+        match op {
+            Op::AddMember(u, s) if c.has_set(s) => {
+                c.add_to_set(u, s).unwrap();
+            }
+            Op::RemoveMember(u, s) if c.has_set(s) => {
+                let _ = c.remove_from_set(u, s).unwrap();
+            }
+            Op::ToggleElement(u) => {
+                if c.has_element(u) {
+                    c.remove_element(u).unwrap();
+                } else {
+                    let _ = c.insert_element(u);
+                }
+            }
+            Op::ToggleSet(s, members) => {
+                if c.has_set(s) {
+                    let _ = c.remove_set(s).unwrap();
+                } else {
+                    c.insert_set(s, members).unwrap();
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -131,38 +161,43 @@ proptest! {
     }
 
     /// greedy() after any operation sequence also yields a valid stable
-    /// cover (used by FD-RMS initialisation at every binary-search step).
+    /// cover (FD-RMS initialisation installs one on the searched `m`).
     #[test]
     fn greedy_restores_stability(ops in arb_ops(40)) {
         let mut c = DynamicSetCover::default();
         c.insert_set(999, 0..ELEMS).unwrap();
-        for op in ops {
-            match op {
-                Op::AddMember(u, s) if c.has_set(s) => {
-                    c.add_to_set(u, s).unwrap();
-                }
-                Op::RemoveMember(u, s) if c.has_set(s) => {
-                    let _ = c.remove_from_set(u, s).unwrap();
-                }
-                Op::ToggleElement(u) => {
-                    if c.has_element(u) {
-                        c.remove_element(u).unwrap();
-                    } else {
-                        let _ = c.insert_element(u);
-                    }
-                }
-                Op::ToggleSet(s, members) => {
-                    if c.has_set(s) {
-                        let _ = c.remove_set(s).unwrap();
-                    } else {
-                        c.insert_set(s, members).unwrap();
-                    }
-                }
-                _ => {}
-            }
-        }
+        apply_loose(&mut c, ops);
         c.greedy().unwrap();
         c.check_invariants().map_err(TestCaseError::fail)?;
+    }
+
+    /// The picks FD-RMS initialisation sizes its binary-search probes with
+    /// are exactly the sets greedy() installs on the same universe, and
+    /// the two fail on the same inputs. No full set is seeded, so some
+    /// prefixes are uncoverable.
+    #[test]
+    fn greedy_picks_match_installed_greedy(ops in arb_ops(40)) {
+        let mut c = DynamicSetCover::default();
+        apply_loose(&mut c, ops);
+        for m in 0..=ELEMS {
+            let picks = c.greedy_picks(0..m);
+            let mut installed = c.clone();
+            installed.reset_universe(0..m);
+            match installed.greedy() {
+                Ok(()) => {
+                    let mut want: Vec<SetId> = installed.solution().collect();
+                    want.sort_unstable();
+                    let mut got = picks.map_err(|e| TestCaseError::fail(e.to_string()))?;
+                    got.sort_unstable();
+                    prop_assert_eq!(got, want);
+                    installed.check_invariants().map_err(TestCaseError::fail)?;
+                }
+                Err(e) => {
+                    prop_assert_eq!(picks, Err(e));
+                    prop_assert_eq!(installed.solution_size(), 0);
+                }
+            }
+        }
     }
 
     /// The small-set row representation behaves exactly like a `HashSet`
