@@ -9,20 +9,18 @@
 //!     [-- --axis d|n --scale 0.02 --algos FD-RMS,Sphere,HS --save]
 //! ```
 
-use rms_bench::{maybe_save, run_cells, Algo, Cell, Scale};
+use rms_bench::{cli_args, flag_value, maybe_save, or_exit, run_cells, Algo, Cell, Scale};
 use rms_data::NamedDataset;
 use rms_eval::format_table;
 
 fn main() {
     let scale = Scale::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let axis = args
-        .iter()
-        .position(|a| a == "--axis")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("both")
-        .to_string();
+    let args = cli_args();
+    let axis = match or_exit(flag_value(&args, "--axis")) {
+        None => "both",
+        Some(axis @ ("d" | "n" | "both")) => axis,
+        Some(other) => or_exit(Err(format!("--axis takes d, n or both, not `{other}`"))),
+    };
     // Default algorithm set: the ones the paper shows surviving the sweep
     // plus the DMM/GeoGreedy variants at low d (they drop out beyond 7).
     let algos = Algo::filter_from_args()

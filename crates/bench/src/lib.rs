@@ -1,9 +1,11 @@
 //! Shared harness for regenerating the paper's tables and figures.
 //!
-//! Each `src/bin/*.rs` binary reproduces one table or figure (see
-//! `DESIGN.md` §4 for the index); this library holds the common plumbing:
-//! scale handling, the dynamic-workload experiment runner for FD-RMS and
-//! every static baseline, and parallel execution of independent cells.
+//! Each `src/bin/*.rs` binary reproduces one table or figure of the
+//! paper's Section IV (`table1`, `fig4` … `fig8`; the README's crate
+//! table lists them); this library holds the common plumbing:
+//! command-line scale handling, the dynamic-workload experiment runner for
+//! FD-RMS and every static baseline, and parallel execution of independent
+//! cells.
 //!
 //! ## Scaling
 //!
@@ -13,11 +15,13 @@
 //! scale it used; pass `--full` for paper scale or `--scale <f>` /
 //! `--ops <n>` / `--eval <n>` to tune. Trends and orderings (who wins,
 //! where the crossovers sit) are preserved; absolute numbers shrink.
+//!
+//! A flag missing its value, an unparsable value, or an unknown
+//! `--algos` name prints `error: …` and exits 1 rather than running a
+//! silently different experiment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod report;
 
 use rms_baselines::{
     DmmGreedy, DmmRrms, DynamicAdapter, EpsKernel, GeoGreedy, Greedy, GreedyStar, HittingSet,
@@ -54,40 +58,37 @@ impl Default for Scale {
 
 impl Scale {
     /// Parses `--full`, `--scale f`, `--eval n`, `--ops n`, `--max-m n`
-    /// from the process arguments.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
+    /// from `args` (the command line without the program name). Other
+    /// arguments are left to the binary's own flags.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
         let mut s = Self::default();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            let mut value = || {
+                rest.next()
+                    .map(String::as_str)
+                    .ok_or_else(|| format!("{arg} takes a value"))
+            };
+            match arg.as_str() {
                 "--full" => {
                     s.frac = 1.0;
                     s.eval_vectors = 500_000;
                     s.max_m = 1 << 20;
                     s.ops = usize::MAX;
                 }
-                "--scale" => {
-                    i += 1;
-                    s.frac = args[i].parse().expect("--scale takes a float");
-                }
-                "--eval" => {
-                    i += 1;
-                    s.eval_vectors = args[i].parse().expect("--eval takes an int");
-                }
-                "--ops" => {
-                    i += 1;
-                    s.ops = args[i].parse().expect("--ops takes an int");
-                }
-                "--max-m" => {
-                    i += 1;
-                    s.max_m = args[i].parse().expect("--max-m takes an int");
-                }
+                "--scale" => s.frac = parse_value(arg, value()?)?,
+                "--eval" => s.eval_vectors = parse_value(arg, value()?)?,
+                "--ops" => s.ops = parse_value(arg, value()?)?,
+                "--max-m" => s.max_m = parse_value(arg, value()?)?,
                 _ => {}
             }
-            i += 1;
         }
-        s
+        Ok(s)
+    }
+
+    /// [`Scale::parse`] over the process arguments, exiting on a bad line.
+    pub fn from_args() -> Self {
+        or_exit(Self::parse(&cli_args()))
     }
 
     /// Human-readable banner describing the scale.
@@ -177,22 +178,66 @@ impl Algo {
         }
     }
 
-    /// Parses `--algos a,b,c` from the process arguments; `None` when the
-    /// flag is absent (caller uses its figure-specific default list).
-    pub fn filter_from_args() -> Option<Vec<Algo>> {
-        let args: Vec<String> = std::env::args().collect();
-        let pos = args.iter().position(|a| a == "--algos")?;
-        let list = args.get(pos + 1)?;
-        Some(
-            list.split(',')
-                .filter_map(|name| {
-                    Algo::ALL
-                        .into_iter()
-                        .find(|a| a.name().eq_ignore_ascii_case(name))
-                })
-                .collect(),
-        )
+    /// Parses `--algos a,b,c` (names as [`Algo::name`], any case) from
+    /// `args`; `Ok(None)` when the flag is absent (caller uses its
+    /// figure-specific default list).
+    pub fn parse_filter(args: &[String]) -> Result<Option<Vec<Algo>>, String> {
+        let Some(list) = flag_value(args, "--algos")? else {
+            return Ok(None);
+        };
+        list.split(',')
+            .map(|name| {
+                Algo::ALL
+                    .into_iter()
+                    .find(|a| a.name().eq_ignore_ascii_case(name))
+                    .ok_or_else(|| {
+                        let known: Vec<&str> = Algo::ALL.iter().map(|a| a.name()).collect();
+                        format!(
+                            "unknown algorithm `{name}` in --algos (known: {})",
+                            known.join(", ")
+                        )
+                    })
+            })
+            .collect::<Result<_, _>>()
+            .map(Some)
     }
+
+    /// [`Algo::parse_filter`] over the process arguments, exiting on a
+    /// bad line.
+    pub fn filter_from_args() -> Option<Vec<Algo>> {
+        or_exit(Self::parse_filter(&cli_args()))
+    }
+}
+
+/// The value following `flag` in `args`: `Ok(None)` when the flag is
+/// absent, an error when it is the last argument.
+pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        Some(i) => args
+            .get(i + 1)
+            .map(|v| Some(v.as_str()))
+            .ok_or_else(|| format!("{flag} takes a value")),
+    }
+}
+
+fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: cannot parse `{value}`"))
+}
+
+/// The process arguments without the program name.
+pub fn cli_args() -> Vec<String> {
+    std::env::args().skip(1).collect()
+}
+
+/// Unwraps a command-line parse, or prints `error: …` and exits 1.
+pub fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(1)
+    })
 }
 
 /// Parameters of one experiment cell.
@@ -430,6 +475,43 @@ mod tests {
         for a in Algo::K_CAPABLE {
             assert!(a == Algo::FdRms || a.static_algo().supports_k(3));
         }
+    }
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn full_scale_and_algo_list_parse() {
+        let args = argv("--full --algos greedy,sphere");
+        let s = Scale::parse(&args).unwrap();
+        assert_eq!(s.frac, 1.0);
+        assert_eq!(s.eval_vectors, 500_000);
+        assert_eq!(s.ops, usize::MAX);
+        assert_eq!(
+            Algo::parse_filter(&args).unwrap(),
+            Some(vec![Algo::Greedy, Algo::Sphere])
+        );
+        let s = Scale::parse(&argv("--scale 0.01 --eval 2000 --save")).unwrap();
+        assert_eq!((s.frac, s.eval_vectors), (0.01, 2000));
+        assert_eq!(Algo::parse_filter(&argv("--scale 0.01")).unwrap(), None);
+    }
+
+    #[test]
+    fn value_flag_given_last_is_an_error() {
+        for flag in ["--scale", "--eval", "--ops", "--max-m"] {
+            let err = Scale::parse(&argv(&format!("--full {flag}"))).unwrap_err();
+            assert!(err.starts_with(flag), "{err}");
+        }
+        assert!(Scale::parse(&argv("--scale x")).is_err());
+        assert!(Algo::parse_filter(&argv("--algos")).is_err());
+    }
+
+    #[test]
+    fn unknown_algorithm_name_is_an_error() {
+        let err = Algo::parse_filter(&argv("--algos Greedy,Sphre")).unwrap_err();
+        assert!(err.contains("`Sphre`"), "{err}");
+        assert!(Algo::parse_filter(&argv("--algos Gredy,Sphre")).is_err());
     }
 
     #[test]

@@ -44,10 +44,9 @@
 //! is (deep `k`, wide ε-band, large `r` ⇒ more per-op recomputation to
 //! amortise); at feather-weight settings both disciplines are bounded by
 //! the shared per-written-tuple cone probe and batching only breaks
-//! even. On the bench workload (`rms-bench --bin batch`, single core)
-//! batches of 1 000 mixed ops run ~1.4× the sequential loop's
-//! throughput, rising to ~2.4× at `k = 5, r = 100, ε = 0.1`; shard
-//! parallelism adds on top on multi-core hosts.
+//! even. Shard parallelism adds on top on multi-core hosts. The
+//! repository benchmark (`perfbench/`) measures the per-batch fixed cost
+//! and the per-op cost on its `engine-churn` and `engine-bulk` workloads.
 //!
 //! Because the per-utility states are canonical — fully determined by the
 //! final database — the batched path reaches exactly the state that

@@ -36,7 +36,7 @@
 //! `KRMS_METRICS_DISABLED=1`) returns a registry whose handles are
 //! no-ops — registration still validates and the catalog still
 //! encodes, but every `inc`/`record` is a single predictable branch.
-//! The bench report uses this to price the instrumentation.
+//! Running the same workload in both modes prices the instrumentation.
 //!
 //! ```
 //! use rms_metrics::Registry;
@@ -206,8 +206,7 @@ impl Registry {
     }
 
     /// Creates [`Registry::disabled`] when [`DISABLE_ENV`] is set to a
-    /// non-empty value other than `0`, else [`Registry::new`]. The
-    /// bench-overhead comparison flips this switch.
+    /// non-empty value other than `0`, else [`Registry::new`].
     #[must_use]
     pub fn from_env() -> Self {
         let off = matches!(std::env::var(DISABLE_ENV), Ok(v) if !v.is_empty() && v != "0");

@@ -213,11 +213,14 @@ fn filtered_subscription_is_range_slice_of_unfiltered() {
 /// One thousand concurrent subscribers, and the server still encodes
 /// each published delta exactly once — read off
 /// `rms_net_delta_encodes_total{kind="unfiltered"}`, the counter the
-/// fan-out path increments per publish, not per subscriber. Every
-/// subscriber then replays the identical line sequence to EOF.
+/// fan-out path increments per publish, not per subscriber. A hundred
+/// more share one id filter, and the per-publish filter cache encodes
+/// that slice once too (`kind="filtered"`). Every subscriber then
+/// receives every version to EOF.
 #[test]
 fn thousand_subscribers_one_unfiltered_encode_per_publish() {
     const SUBS: usize = 1_000;
+    const SHARED_FILTER: usize = 100;
     const PUBLISHES: u64 = 5;
     rms_net::raise_nofile_limit(1 << 20).expect("raise fd limit");
 
@@ -231,8 +234,11 @@ fn thousand_subscribers_one_unfiltered_encode_per_publish() {
     let addr = server.local_addr().unwrap();
     let server = std::thread::spawn(move || server.run().expect("server run"));
 
+    // The filter holds the initial ids, not the inserts below, so the
+    // filtered lines are real slices of the unfiltered ones.
     let mut swarm: Vec<BufReader<TcpStream>> = (0..SUBS)
         .map(|_| raw_subscribe(addr, "SUBSCRIBE every=1"))
+        .chain((0..SHARED_FILTER).map(|_| raw_subscribe(addr, "SUBSCRIBE every=1 ids=0..99")))
         .collect();
     // The probe paces the publishes so each insert lands as its own
     // epoch, and later counts the shutdown drain's trailing deltas.
@@ -254,6 +260,11 @@ fn thousand_subscribers_one_unfiltered_encode_per_publish() {
         counter_total(&body, "rms_net_delta_encodes_total{kind=\"unfiltered\"}"),
         PUBLISHES,
         "encode-once violated across {SUBS} subscribers"
+    );
+    assert_eq!(
+        counter_total(&body, "rms_net_delta_encodes_total{kind=\"filtered\"}"),
+        PUBLISHES,
+        "filter cache missed across {SHARED_FILTER} subscribers of one filter"
     );
 
     writer.shutdown().expect("shutdown");
