@@ -79,26 +79,6 @@ impl BlockTree {
         }
         out
     }
-
-    /// The function whose body span contains token index `i`, preferring
-    /// the innermost (nested `fn` items shadow their enclosing item).
-    pub fn enclosing_function(&self, i: usize) -> Option<&Function> {
-        let mut best: Option<&Function> = None;
-        for f in &self.functions {
-            let Some(body) = f.body else { continue };
-            let s = &self.scopes[body];
-            if s.start <= i && i < s.end {
-                if let Some(b) = best {
-                    let bs = &self.scopes[b.body.unwrap_or(body)];
-                    if s.start <= bs.start {
-                        continue;
-                    }
-                }
-                best = Some(f);
-            }
-        }
-        best
-    }
 }
 
 fn is_punct(t: Option<&Token>, ch: char) -> bool {

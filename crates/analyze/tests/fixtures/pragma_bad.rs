@@ -1,24 +1,24 @@
 // Fixture: pragma hygiene. Expected `pragma` findings: a reason-less
 // pragma, an unquoted reason, an unknown rule id, and an unused pragma
 // covering a clean line. The broken pragmas suppress nothing, so the
-// unwraps in a/b/c also surface as `unwrap-nontest`.
+// ad-hoc poison handling in a/b/c also surfaces as `lock-poison-policy`.
 
-fn a(s: &str) -> u32 {
-    // rms-analyze: allow(unwrap-nontest)
-    s.parse().unwrap()
+fn a(m: &std::sync::Mutex<u32>) -> u32 {
+    // rms-analyze: allow(lock-poison-policy)
+    *m.lock().unwrap()
 }
 
-fn b(s: &str) -> u32 {
-    // rms-analyze: allow(unwrap-nontest, because reasons)
-    s.parse().unwrap()
+fn b(m: &std::sync::Mutex<u32>) -> u32 {
+    // rms-analyze: allow(lock-poison-policy, because reasons)
+    *m.lock().unwrap()
 }
 
-fn c(s: &str) -> u32 {
+fn c(m: &std::sync::Mutex<u32>) -> u32 {
     // rms-analyze: allow(no-such-rule, "the rule id is wrong")
-    s.parse().unwrap()
+    *m.lock().unwrap()
 }
 
-fn d(s: &str) -> Result<u32, std::num::ParseIntError> {
-    // rms-analyze: allow(unwrap-nontest, "nothing to suppress here")
-    s.parse()
+fn d(m: &std::sync::Mutex<u32>) -> u32 {
+    // rms-analyze: allow(lock-poison-policy, "nothing to suppress here")
+    *recover_poisoned(m.lock())
 }

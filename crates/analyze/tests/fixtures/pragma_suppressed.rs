@@ -2,8 +2,8 @@
 // one same-line, one own-line. Expected findings: none (two
 // suppressions reported on stderr).
 
-fn parses(s: &str) -> u32 {
-    s.parse().unwrap() // rms-analyze: allow(unwrap-nontest, "fixture: demonstrates same-line suppression")
+fn reads(m: &std::sync::Mutex<u32>) -> u32 {
+    *m.lock().unwrap() // rms-analyze: allow(lock-poison-policy, "fixture: demonstrates same-line suppression")
 }
 
 fn held_across_send(m: &std::sync::Mutex<u32>, tx: &std::sync::mpsc::SyncSender<u32>) {

@@ -1,6 +1,5 @@
 // Fixture: ad-hoc lock-poison handling. Expected findings: three
-// `lock-poison-policy` violations (and `unwrap-nontest` overlaps on the
-// first two — the rules are independent).
+// `lock-poison-policy` violations.
 
 fn unwraps(m: &std::sync::Mutex<u32>) -> u32 {
     *m.lock().unwrap()

@@ -51,7 +51,7 @@ fn arb_brace_salad() -> impl Strategy<Value = String> {
         "#[cfg(test)]",
         "mod tests ",
         "r#\"raw\"#",
-        "// rms-analyze: allow(unwrap-nontest, \"reason\")\n",
+        "// rms-analyze: allow(lock-poison-policy, \"reason\")\n",
         "// rms-analyze: atomic-policy(x: Relaxed)\n",
         "// rms-analyze: atomic-policy(x Relaxed)\n",
         "\n",

@@ -29,6 +29,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Panic policy: the serving stack degrades, it does not die. Test code
+// is exempt via the root `clippy.toml`; any other site states its reason
+// in an `#[expect(clippy::…, reason = "…")]` on the narrowest item.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Write};

@@ -53,6 +53,19 @@
 //! assert!(text.contains("rms_tcp_requests_total{verb=\"QUERY\"} 1"));
 //! ```
 
+// Panic policy: the serving stack degrades, it does not die. Test code
+// is exempt via the root `clippy.toml`; any other site states its reason
+// in an `#[expect(clippy::…, reason = "…")]` on the narrowest item.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -242,7 +255,10 @@ impl Registry {
         });
         match cell {
             SeriesCell::Counter(cell) => Counter { cell, on: self.on },
-            // rms-analyze: allow(unwrap-nontest, "register_cell asserts the family kind matches, so the cell variant is Counter")
+            #[expect(
+                clippy::unreachable,
+                reason = "register_cell asserts the family kind matches, so the cell variant is Counter"
+            )]
             _ => unreachable!("kind checked by register_cell"),
         }
     }
@@ -258,7 +274,10 @@ impl Registry {
         });
         match cell {
             SeriesCell::Gauge(cell) => Gauge { cell, on: self.on },
-            // rms-analyze: allow(unwrap-nontest, "register_cell asserts the family kind matches, so the cell variant is Gauge")
+            #[expect(
+                clippy::unreachable,
+                reason = "register_cell asserts the family kind matches, so the cell variant is Gauge"
+            )]
             _ => unreachable!("kind checked by register_cell"),
         }
     }
@@ -276,7 +295,10 @@ impl Registry {
         });
         match cell {
             SeriesCell::Histogram(core) => Histogram { core, on: self.on },
-            // rms-analyze: allow(unwrap-nontest, "register_cell asserts the family kind matches, so the cell variant is Histogram")
+            #[expect(
+                clippy::unreachable,
+                reason = "register_cell asserts the family kind matches, so the cell variant is Histogram"
+            )]
             _ => unreachable!("kind checked by register_cell"),
         }
     }
@@ -302,7 +324,10 @@ impl Registry {
         });
         match cell {
             SeriesCell::Histogram(core) => Histogram { core, on: self.on },
-            // rms-analyze: allow(unwrap-nontest, "register_cell asserts the family kind matches, so the cell variant is Histogram")
+            #[expect(
+                clippy::unreachable,
+                reason = "register_cell asserts the family kind matches, so the cell variant is Histogram"
+            )]
             _ => unreachable!("kind checked by register_cell"),
         }
     }
@@ -315,8 +340,11 @@ impl Registry {
         labels: &[(&str, &str)],
         make: impl FnOnce() -> SeriesCell,
     ) -> SeriesCell {
+        #[expect(
+            clippy::panic,
+            reason = "registration-time name validation is a programmer error; fail fast at startup"
+        )]
         if let Err(e) = validate_metric_name(name) {
-            // rms-analyze: allow(unwrap-nontest, "registration-time name validation is a programmer error; fail fast at startup")
             panic!("rms-metrics: {e}");
         }
         let mut key: Vec<(String, String)> = labels
@@ -324,14 +352,20 @@ impl Registry {
             .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
             .collect();
         for (k, _) in &key {
+            #[expect(
+                clippy::panic,
+                reason = "registration-time label validation is a programmer error; fail fast at startup"
+            )]
             if let Err(e) = validate_label_name(k) {
-                // rms-analyze: allow(unwrap-nontest, "registration-time label validation is a programmer error; fail fast at startup")
                 panic!("rms-metrics: metric `{name}`: {e}");
             }
         }
         key.sort();
+        #[expect(
+            clippy::panic,
+            reason = "registration-time label validation is a programmer error; fail fast at startup"
+        )]
         if key.windows(2).any(|w| w[0].0 == w[1].0) {
-            // rms-analyze: allow(unwrap-nontest, "registration-time label validation is a programmer error; fail fast at startup")
             panic!("rms-metrics: metric `{name}` has a duplicate label name");
         }
         let mut families = recover(self.families.lock());
@@ -449,7 +483,11 @@ const NANOS_PER_SECOND: f64 = 1e9;
 /// two divide cleanly in binary floating point), so the rendered `le`
 /// values are stable.
 fn bucket_upper(i: usize, scale: f64) -> f64 {
-    #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        reason = "i < HISTOGRAM_BUCKETS, far below i32::MAX"
+    )]
     let exp = (i + 1) as i32;
     2f64.powi(exp) / scale
 }
@@ -482,7 +520,10 @@ fn encode_histogram(out: &mut String, name: &str, labels: &[(String, String)], h
     out.push_str(name);
     out.push_str("_sum");
     push_labels(out, labels, None);
-    #[allow(clippy::cast_precision_loss)]
+    #[allow(
+        clippy::cast_precision_loss,
+        reason = "a rendered sum needs no precision beyond f64's"
+    )]
     let sum_display = h.sum_raw.load(Ordering::Relaxed) as f64 / h.scale;
     let _ = writeln!(out, " {sum_display}");
     out.push_str(name);

@@ -309,7 +309,10 @@ pub(crate) struct NetHandler {
 }
 
 impl NetHandler {
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per handler field, set once per server"
+    )]
     pub(crate) fn new(
         handle: RmsHandle,
         info: ServerInfo,

@@ -213,8 +213,12 @@ impl ShardHandle {
                 Ok(()) => Ok(()),
                 Err(e) => {
                     self.state.fetch_sub(1, Ordering::SeqCst);
-                    let Msg::Op(op) = e.0 else {
-                        // rms-analyze: allow(unwrap-nontest, "send() above only ever sends Msg::Op; the error returns that value")
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "send() above only ever sends Msg::Op; the error returns that value"
+                    )]
+                    let Msg::Op(op) = e.0
+                    else {
                         unreachable!("handles only send ops")
                     };
                     Err(SubmitError::Disconnected(op))
@@ -237,8 +241,12 @@ impl ShardHandle {
                 Err(TrySendError::Disconnected(m)) => {
                     drop(guard);
                     self.state.fetch_sub(1, Ordering::SeqCst);
-                    let Msg::Op(op) = m else {
-                        // rms-analyze: allow(unwrap-nontest, "try_send() above only ever sends Msg::Op; the error returns that value")
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "try_send() above only ever sends Msg::Op; the error returns that value"
+                    )]
+                    let Msg::Op(op) = m
+                    else {
                         unreachable!("handles only send ops")
                     };
                     return Err(SubmitError::Disconnected(op));
@@ -282,7 +290,10 @@ impl ShardHandle {
                 match e {
                     TrySendError::Full(Msg::Op(op)) => Err(SubmitError::Full(op)),
                     TrySendError::Disconnected(Msg::Op(op)) => Err(SubmitError::Disconnected(op)),
-                    // rms-analyze: allow(unwrap-nontest, "try_send() above only ever sends Msg::Op; the error returns that value")
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "try_send() above only ever sends Msg::Op; the error returns that value"
+                    )]
                     _ => unreachable!("handles only send ops"),
                 }
             }
@@ -440,6 +451,10 @@ impl Shard {
             let wal = wal.clone();
             let watchers = Arc::clone(&watchers);
             let metrics = metrics.clone();
+            #[expect(
+                clippy::expect_used,
+                reason = "thread-spawn failure at service construction is unrecoverable; fail fast"
+            )]
             std::thread::Builder::new()
                 .name("rms-applier".into())
                 .spawn(move || {
@@ -456,7 +471,6 @@ impl Shard {
                         &metrics,
                     )
                 })
-                // rms-analyze: allow(unwrap-nontest, "thread-spawn failure at service construction is unrecoverable; fail fast")
                 .expect("spawn applier thread")
         };
         Self {
@@ -487,11 +501,18 @@ impl Shard {
     /// Panics if the applier thread panicked (an engine invariant
     /// failure), propagating that error.
     pub(crate) fn shutdown(mut self) -> FdRms {
-        self.shutdown_inner()
-            // rms-analyze: allow(unwrap-nontest, "shutdown consumes self, so the applier handle is still present")
-            .expect("applier taken only by shutdown")
-            // rms-analyze: allow(unwrap-nontest, "documented: shutdown() propagates an applier panic (engine invariant failure)")
-            .expect("applier thread panicked")
+        #[expect(
+            clippy::expect_used,
+            reason = "shutdown consumes self, so the applier handle is still present"
+        )]
+        let joined = self
+            .shutdown_inner()
+            .expect("applier taken only by shutdown");
+        #[expect(
+            clippy::expect_used,
+            reason = "documented: shutdown() propagates an applier panic (engine invariant failure)"
+        )]
+        joined.expect("applier thread panicked")
     }
 
     /// Durability-testing hook: stop the shard as an unclean kill
@@ -625,7 +646,10 @@ fn group_commit(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the applier thread's whole context, passed once at spawn"
+)]
 fn applier_loop(
     fd: FdRms,
     rx: &Receiver<Msg>,
@@ -649,7 +673,10 @@ fn applier_loop(
     fd
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the same context as applier_loop, forwarded unchanged"
+)]
 fn applier_inner(
     mut fd: FdRms,
     rx: &Receiver<Msg>,
@@ -668,9 +695,6 @@ fn applier_inner(
     let mrr_every = cfg.mrr_every.max(1);
     let mut epoch = 0u64;
     let mut last_mrr = None;
-    // The previously published snapshot, kept for publish-time delta
-    // computation (watchers receive the diff, not the whole solution).
-    let mut prev = cell.load();
     loop {
         // Block for the first message, then coalesce whatever else is
         // already queued — the adaptive batch: size 1 under light load
@@ -752,7 +776,9 @@ fn applier_inner(
             // registration — so every subscriber's base snapshot meets
             // its first delta gap-free.
             let mut registry = recover_poisoned(watchers.lock());
-            cell.store(Arc::clone(&snap));
+            // The replaced snapshot is the base of this publish's delta
+            // (watchers receive the diff, not the whole solution).
+            let prev = cell.publish(Arc::clone(&snap));
             if !registry.is_empty() {
                 // The O(r) diff + clone runs only when someone actually
                 // consumes deltas; signal-only watchers (the multi-shard
@@ -777,7 +803,6 @@ fn applier_inner(
             drop(registry);
             metrics.publish_seconds.record(publish_start.elapsed());
             metrics.publishes.inc();
-            prev = snap;
         }
         if shutting_down {
             break;

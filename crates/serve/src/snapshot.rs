@@ -377,6 +377,27 @@ mod tests {
             .iter()
             .all(|id| coalesced.added.binary_search_by_key(id, Point::id).is_err()));
     }
+
+    fn at_epoch(epoch: u64) -> ResultSnapshot {
+        ResultSnapshot {
+            epochs: vec![epoch],
+            result: Vec::new(),
+            len: 0,
+            m: 0,
+            mrr: None,
+            stats: ServiceStats::default(),
+        }
+    }
+
+    /// `publish` hands back the snapshot it replaced, and refuses one
+    /// that is not newer.
+    #[test]
+    #[should_panic(expected = "snapshot version 1 published over version 1")]
+    fn publish_rejects_a_non_increasing_version() {
+        let cell = SnapshotCell::new(at_epoch(0));
+        assert_eq!(cell.publish(Arc::new(at_epoch(1))).version(), 0);
+        cell.publish(Arc::new(at_epoch(1)));
+    }
 }
 
 /// The single-writer publication cell: the applier swaps a fresh
@@ -403,9 +424,22 @@ impl SnapshotCell {
         recover_poisoned(self.slot.read()).clone()
     }
 
-    /// Publishes a new snapshot. Takes the `Arc` so the applier can keep
-    /// a reference for publish-time delta computation.
-    pub(crate) fn store(&self, snapshot: Arc<ResultSnapshot>) {
-        *recover_poisoned(self.slot.write()) = snapshot;
+    /// Publishes `next` and returns the snapshot it replaces, which the
+    /// applier diffs against for publish-time deltas. The private `slot`
+    /// makes this the cell's only writer, so readers see versions rise
+    /// monotonically.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `next` is not newer than the current snapshot.
+    pub(crate) fn publish(&self, next: Arc<ResultSnapshot>) -> Arc<ResultSnapshot> {
+        let mut slot = recover_poisoned(self.slot.write());
+        assert!(
+            next.version() > slot.version(),
+            "snapshot version {} published over version {}",
+            next.version(),
+            slot.version()
+        );
+        std::mem::replace(&mut *slot, next)
     }
 }

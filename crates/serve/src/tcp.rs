@@ -207,11 +207,17 @@ impl RmsServer {
         // the closed channel and broadcasts StreamEnd, and the reactors
         // drain and exit.
         let engines = service.shutdown();
-        // rms-analyze: allow(unwrap-nontest, "a Err from join means the worker panicked and already tore the serving invariants; re-raising that panic at shutdown is the only honest report")
+        #[expect(
+            clippy::expect_used,
+            reason = "a Err from join means the worker panicked and already tore the serving invariants; re-raising that panic at shutdown is the only honest report"
+        )]
         pump.join().expect("delta pump panicked");
         let mut first_err = None;
         for t in threads {
-            // rms-analyze: allow(unwrap-nontest, "a Err from join means the worker panicked and already tore the serving invariants; re-raising that panic at shutdown is the only honest report")
+            #[expect(
+                clippy::expect_used,
+                reason = "a Err from join means the worker panicked and already tore the serving invariants; re-raising that panic at shutdown is the only honest report"
+            )]
             match t.join().expect("reactor thread panicked") {
                 Ok(()) => {}
                 Err(e) if first_err.is_none() => first_err = Some(e),

@@ -46,10 +46,31 @@ const MAGIC: u32 = 0x4B57_414C;
 const VERSION: u32 = 1;
 const HEADER_LEN: usize = 8;
 
-const TAG_INSERT: u8 = 1;
-const TAG_DELETE: u8 = 2;
-const TAG_UPDATE: u8 = 3;
-const TAG_CHECKPOINT: u8 = 4;
+/// A record's tag byte. [`encode_op`] matches exhaustively over [`Op`]
+/// and [`parse_record`] over this enum, so an op without a tag, or a tag
+/// without a replay arm, does not compile.
+#[repr(u8)]
+#[derive(Debug, Clone, Copy)]
+enum WalTag {
+    Insert = 1,
+    Delete = 2,
+    Update = 3,
+    Checkpoint = 4,
+}
+
+impl TryFrom<u8> for WalTag {
+    type Error = u8;
+
+    fn try_from(byte: u8) -> Result<Self, u8> {
+        match byte {
+            1 => Ok(Self::Insert),
+            2 => Ok(Self::Delete),
+            3 => Ok(Self::Update),
+            4 => Ok(Self::Checkpoint),
+            unknown => Err(unknown),
+        }
+    }
+}
 
 /// Frame overhead around a payload: tag (1) + length (4) + hash (8).
 const FRAME_OVERHEAD: usize = 13;
@@ -218,7 +239,7 @@ impl Wal {
         let mut buf = Vec::new();
         buf.extend_from_slice(&MAGIC.to_le_bytes());
         buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.extend_from_slice(&frame(TAG_CHECKPOINT, &rms_data::cache::encode(points)));
+        buf.extend_from_slice(&frame(WalTag::Checkpoint, &rms_data::cache::encode(points)));
         write_durably(&self.path, &buf)?;
         // Re-open so subsequent appends land after the checkpoint record
         // of the *new* file, not in the unlinked old one.
@@ -357,7 +378,8 @@ impl WalSyncHandle {
 }
 
 /// Frames one record: `tag | len | payload | fnv1a(tag + payload)`.
-fn frame(tag: u8, payload: &[u8]) -> Vec<u8> {
+fn frame(tag: WalTag, payload: &[u8]) -> Vec<u8> {
+    let tag = tag as u8;
     let mut rec = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
     rec.push(tag);
     rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -366,11 +388,11 @@ fn frame(tag: u8, payload: &[u8]) -> Vec<u8> {
     rec
 }
 
-fn encode_op(op: &Op) -> (u8, Vec<u8>) {
+fn encode_op(op: &Op) -> (WalTag, Vec<u8>) {
     match op {
-        Op::Insert(p) => (TAG_INSERT, encode_point(p)),
-        Op::Update(p) => (TAG_UPDATE, encode_point(p)),
-        Op::Delete(id) => (TAG_DELETE, id.to_le_bytes().to_vec()),
+        Op::Insert(p) => (WalTag::Insert, encode_point(p)),
+        Op::Update(p) => (WalTag::Update, encode_point(p)),
+        Op::Delete(id) => (WalTag::Delete, id.to_le_bytes().to_vec()),
     }
 }
 
@@ -438,8 +460,8 @@ fn scan(raw: &[u8]) -> io::Result<(WalReplay, u64)> {
 }
 
 /// Parses one record at the front of `buf` into `replay`; returns the
-/// record's total length, or `None` when the record is torn, corrupt, or
-/// `buf` is exhausted.
+/// record's total length, or `None` when the record is torn, corrupt,
+/// carries a tag byte outside [`WalTag`], or `buf` is exhausted.
 fn parse_record(buf: &[u8], replay: &mut WalReplay) -> Option<usize> {
     if buf.len() < FRAME_OVERHEAD {
         return None;
@@ -455,22 +477,21 @@ fn parse_record(buf: &[u8], replay: &mut WalReplay) -> Option<usize> {
     if record_hash(tag, payload) != stored {
         return None;
     }
-    match tag {
-        TAG_INSERT => replay.ops.push(Op::Insert(decode_point(payload)?)),
-        TAG_UPDATE => replay.ops.push(Op::Update(decode_point(payload)?)),
-        TAG_DELETE => {
+    match WalTag::try_from(tag).ok()? {
+        WalTag::Insert => replay.ops.push(Op::Insert(decode_point(payload)?)),
+        WalTag::Update => replay.ops.push(Op::Update(decode_point(payload)?)),
+        WalTag::Delete => {
             if payload.len() != 8 {
                 return None;
             }
             replay.ops.push(Op::Delete(le_u64(payload, 0)?));
         }
-        TAG_CHECKPOINT => {
+        WalTag::Checkpoint => {
             let points = rms_data::cache::decode(payload).ok()?;
             // The checkpoint supersedes everything before it.
             replay.checkpoint = Some(points);
             replay.ops.clear();
         }
-        _ => return None,
     }
     Some(total)
 }
@@ -493,20 +514,76 @@ mod tests {
         ]
     }
 
+    /// Every `Op` variant replays as appended; the second input adds a
+    /// checkpoint record mid-log (framed in place, not compacted), so
+    /// every `WalTag` goes through its encode and replay arm.
     #[test]
     fn roundtrip_append_replay() {
-        let path = temp_path("roundtrip");
+        let live = vec![Point::new_unchecked(1, vec![0.1, 0.2])];
+        for checkpoint in [None, Some(live)] {
+            let path = temp_path("roundtrip");
+            let _ = std::fs::remove_file(&path);
+            let (mut wal, replay) = Wal::open(&path).unwrap();
+            assert!(replay.checkpoint.is_none() && replay.ops.is_empty());
+            if let Some(points) = &checkpoint {
+                wal.append(&Op::Delete(5)).unwrap();
+                let rec = frame(WalTag::Checkpoint, &rms_data::cache::encode(points));
+                wal.append_frame(&rec).unwrap();
+            }
+            for op in &sample_ops() {
+                wal.append(op).unwrap();
+            }
+            wal.sync().unwrap();
+            drop(wal);
+            let (_, replay) = Wal::open(&path).unwrap();
+            assert_eq!(replay.checkpoint, checkpoint);
+            assert_eq!(replay.ops, sample_ops());
+            assert_eq!(replay.torn_bytes, 0);
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    /// The tag bytes are the KWAL v1 on-disk values, and only they
+    /// convert back to a `WalTag`.
+    #[test]
+    fn tag_bytes_match_the_v1_format() {
+        let tags: Vec<u8> = sample_ops()
+            .iter()
+            .map(|op| encode_op(op).0 as u8)
+            .collect();
+        assert_eq!(tags, [1, 2, 3]);
+        assert_eq!(WalTag::Checkpoint as u8, 4);
+        for byte in 0..=u8::MAX {
+            match WalTag::try_from(byte) {
+                Ok(tag) => assert_eq!(tag as u8, byte),
+                Err(unknown) => {
+                    assert_eq!(unknown, byte);
+                    assert!(byte == 0 || byte > 4, "byte {byte} must be a tag");
+                }
+            }
+        }
+    }
+
+    /// A record whose checksum is valid but whose tag byte is not a
+    /// `WalTag` ends replay there, and its bytes count as torn.
+    #[test]
+    fn unknown_tag_ends_replay() {
+        let path = temp_path("unknown-tag");
         let _ = std::fs::remove_file(&path);
-        let (mut wal, replay) = Wal::open(&path).unwrap();
-        assert!(replay.checkpoint.is_none() && replay.ops.is_empty());
+        let (mut wal, _) = Wal::open(&path).unwrap();
         for op in &sample_ops() {
             wal.append(op).unwrap();
         }
-        wal.sync().unwrap();
+        let payload = 42u64.to_le_bytes();
+        let mut rec = vec![9];
+        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        rec.extend_from_slice(&payload);
+        rec.extend_from_slice(&record_hash(9, &payload).to_le_bytes());
+        wal.append_frame(&rec).unwrap();
         drop(wal);
         let (_, replay) = Wal::open(&path).unwrap();
         assert_eq!(replay.ops, sample_ops());
-        assert_eq!(replay.torn_bytes, 0);
+        assert_eq!(replay.torn_bytes, rec.len() as u64);
         std::fs::remove_file(&path).unwrap();
     }
 
